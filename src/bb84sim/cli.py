@@ -411,7 +411,7 @@ def cmd_trial(args: argparse.Namespace) -> int:
     print(f"compared n     : {est.compared_n}")
     print(f"errors k       : {est.errors_k}")
     print(f"qber           : {_fmt(est.point_estimate)}")
-    print(f"{method.value} {args.confidence:g} CI : "
+    print(f"{method.value} {args.confidence} CI : "
           f"[{_fmt(interval.lower)}, {_fmt(interval.upper)}]")
     print(f"policy         : {args.policy}")
     print(f"qber used      : {_fmt(verdict.qber_used)}")
@@ -431,7 +431,7 @@ def cmd_ci(args: argparse.Namespace) -> int:
         raise UsageError(
             f"--confidence must lie in (0, 1), got {args.confidence}")
     est = QberEstimate(errors_k=args.k, compared_n=args.n)
-    print(f"k = {args.k}, n = {args.n}, confidence = {args.confidence:g}")
+    print(f"k = {args.k}, n = {args.n}, confidence = {args.confidence}")
     print(f"point estimate = {_fmt(est.point_estimate)}")
     for method in CIMethod:
         ci = confidence_interval(est, args.confidence, method)

@@ -45,14 +45,16 @@ def binary_entropy(q: float) -> float:
 
 
 def key_rate(qber: float) -> KeyRateReport:
-    """Asymptotic secret-key rate 1 - 2 H2(qber).
+    """Asymptotic secret-key rate 1 - 2 H2(qber), evaluated at min(qber, 0.5).
 
-    Only defined for qber <= 0.5; an estimate worse than random means the
-    protocol already failed upstream and no rate is meaningful.
+    A sampled error rate above 0.5 is a legitimate outcome of a small or
+    fully disturbed session. The formula itself climbs back to +1 as qber
+    approaches 1, which would call such a session secure, so the rate is
+    held at its value at 0.5, namely -1. The report keeps the measured qber.
     """
-    if not 0.0 <= qber <= 0.5:
-        raise ValueError(f"qber must be in [0, 0.5], got {qber}")
-    rate = 1.0 - 2.0 * binary_entropy(qber)
+    if not 0.0 <= qber <= 1.0:
+        raise ValueError(f"qber must be in [0, 1], got {qber}")
+    rate = 1.0 - 2.0 * binary_entropy(min(qber, 0.5))
     return KeyRateReport(qber=qber, rate=rate, secure=rate > 0.0)
 
 

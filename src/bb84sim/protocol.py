@@ -12,7 +12,9 @@ positions read back wrong for Bob.
 Sessions are pure functions of their config. `run_session` is vectorized over
 the whole qubit train with numpy; the scalar operations (`prepare`, `measure`,
 `eve_act`, `channel_act`) define the same per-qubit semantics one state at a
-time and are what the vectorized path is tested against.
+time. They consume the random stream in a different order, so no test
+compares them with `run_session`; the session's ledger is instead checked
+against the per-qubit rules by property-based tests.
 """
 
 from __future__ import annotations
@@ -295,6 +297,18 @@ def sift(records: Union[TransmissionLedger, Iterable[TransmissionRecord]]) -> li
     return [i for i, rec in enumerate(records) if rec.alice_basis == rec.bob_basis]
 
 
+def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n uniform 0/1 draws as uint8, identical in values and in the
+    generator state it leaves to `rng.integers(0, 2, n, dtype=np.uint8)`.
+
+    numpy draws range-2 uint8 values by Lemire's method, which never rejects
+    (256 is even) and returns the top bit of each byte, taking the bytes
+    low-first from the same uint32 stream that `Generator.bytes` serialises
+    little-endian. Both consume ceil(n/4) uint32 words.
+    """
+    return np.frombuffer(rng.bytes(n), np.uint8) >> 7
+
+
 def run_session(config: SessionConfig) -> SessionResult:
     """Execute one full BB84 session, deterministically in the seed.
 
@@ -312,6 +326,11 @@ def run_session(config: SessionConfig) -> SessionResult:
     an absent Eve is bit-for-bit identical to intercept-resend with f = 0 and
     an ideal channel to depolarizing with p = 0.
 
+    The 0/1 blocks are the top bit of each byte of `rng.bytes(n)`. That is
+    what `rng.integers(0, 2, n, dtype=np.uint8)` returns, from the same
+    words, leaving the same generator state (see `_random_bits`), so every
+    output byte is the one `integers` draws would give.
+
     Raises EmptySampleError when the sample would be empty; transmit more
     qubits.
     """
@@ -320,26 +339,30 @@ def run_session(config: SessionConfig) -> SessionResult:
     f = config.eve.effective_fraction
     p = config.channel.flip_probability * 2.0
 
-    alice_bits = rng.integers(0, 2, n, dtype=np.uint8)
-    alice_bases = rng.integers(0, 2, n, dtype=np.uint8)
+    alice_bits = _random_bits(rng, n)
+    alice_bases = _random_bits(rng, n)
 
     intercepted = rng.random(n) < f
-    eve_bases = rng.integers(0, 2, n, dtype=np.uint8)
-    eve_mismatch_draws = rng.integers(0, 2, n, dtype=np.uint8)
+    eve_bases = _random_bits(rng, n)
+    eve_mismatch_draws = _random_bits(rng, n)
+    # Selects on the 0/1 uint8 columns are bitwise: d ^ ((a ^ d) & m) is a
+    # where m is 1 and d where it is 0.
     # Eve measures: her own basis reads Alice's bit, a mismatch reads noise.
-    eve_bits = np.where(eve_bases == alice_bases, alice_bits, eve_mismatch_draws)
+    eve_bits = alice_bits ^ ((eve_mismatch_draws ^ alice_bits) & (eve_bases ^ alice_bases))
 
-    state_bits = np.where(intercepted, eve_bits, alice_bits)
-    state_bases = np.where(intercepted, eve_bases, alice_bases)
+    resent = intercepted.view(np.uint8)
+    state_bits = alice_bits ^ ((eve_bits ^ alice_bits) & resent)
+    state_bases = alice_bases ^ ((eve_bases ^ alice_bases) & resent)
 
     depolarized = rng.random(n) < p
-    channel_draws = rng.integers(0, 2, n, dtype=np.uint8)
-    channel_flipped = depolarized & (channel_draws != state_bits)
-    state_bits = np.where(depolarized, channel_draws, state_bits)
+    channel_draws = _random_bits(rng, n)
+    flips = (channel_draws ^ state_bits) & depolarized.view(np.uint8)
+    channel_flipped = flips.view(bool)
+    state_bits ^= flips
 
-    bob_bases = rng.integers(0, 2, n, dtype=np.uint8)
-    bob_mismatch_draws = rng.integers(0, 2, n, dtype=np.uint8)
-    bob_bits = np.where(bob_bases == state_bases, state_bits, bob_mismatch_draws)
+    bob_bases = _random_bits(rng, n)
+    bob_mismatch_draws = _random_bits(rng, n)
+    bob_bits = state_bits ^ ((bob_mismatch_draws ^ state_bits) & (bob_bases ^ state_bases))
 
     sifted = alice_bases == bob_bases
     sifted_idx = np.flatnonzero(sifted)
@@ -362,10 +385,10 @@ def run_session(config: SessionConfig) -> SessionResult:
         alice_bases=alice_bases,
         eve_intercepted=intercepted,
         eve_bases=eve_bases,
-        eve_bits=eve_bits.astype(np.uint8),
+        eve_bits=eve_bits,
         channel_flipped=channel_flipped,
         bob_bases=bob_bases,
-        bob_bits=bob_bits.astype(np.uint8),
+        bob_bits=bob_bits,
         sifted=sifted,
         sampled=sampled,
     )

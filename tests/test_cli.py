@@ -120,6 +120,16 @@ def test_ci_report_brackets_the_midpoint(monkeypatch, tmp_path, capsys):
         assert float(lo) <= 0.5 <= float(hi)
 
 
+def test_confidence_is_printed_unrounded(monkeypatch, tmp_path, capsys):
+    conf = "0.999999999999"  # a :g format would round this to 1
+    _, out, _ = run_cli(["ci", "--k", "1", "--n", "10", "--confidence", conf],
+                        monkeypatch, tmp_path, capsys)
+    assert f"confidence = {conf}\n" in out
+    _, out, _ = run_cli(["trial", "--qubits", "200", "--confidence", conf],
+                        monkeypatch, tmp_path, capsys)
+    assert f"clopper-pearson {conf} CI :" in out
+
+
 def test_ci_report_large_sample(monkeypatch, tmp_path, capsys):
     _, out, _ = run_cli(["ci", "--k", "6238", "--n", "25000"], monkeypatch, tmp_path, capsys)
     assert "point estimate = 0.249520" in out
@@ -150,6 +160,19 @@ def test_trial_under_full_attack(monkeypatch, tmp_path, capsys):
     assert code == 0
     assert "decision       : ABORT" in out
     assert "insecure" in out
+
+
+def test_trial_with_qber_above_half_reports_abort(monkeypatch, tmp_path, capsys):
+    # a fully depolarized, fully attacked session samples 8 errors in 10
+    code, out, _ = run_cli(
+        ["trial", "--eve-fraction", "1", "--depolarizing-p", "1",
+         "--qubits", "40", "--seed", "1"],
+        monkeypatch, tmp_path, capsys,
+    )
+    assert code == 0
+    assert "qber           : 0.800000" in out
+    assert "decision       : ABORT" in out
+    assert "key rate       : -1.000000 (insecure)" in out
 
 
 def test_trial_point_policy_flag(monkeypatch, tmp_path, capsys):

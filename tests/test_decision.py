@@ -63,10 +63,19 @@ def test_key_rate_monotone_decreasing():
     assert all(a > b for a, b in zip(rates, rates[1:]))
 
 
-@pytest.mark.parametrize("bad", [-0.01, 0.51, 1.0])
+@pytest.mark.parametrize("bad", [-0.01, 1.01])
 def test_key_rate_domain(bad):
     with pytest.raises(ValueError):
         key_rate(bad)
+
+
+@pytest.mark.parametrize("qber", [0.51, 0.8, 1.0])
+def test_key_rate_clamped_above_half(qber):
+    # the raw formula would climb back to +1 ("secure") as qber nears 1
+    report = key_rate(qber)
+    assert report.qber == qber
+    assert report.rate == pytest.approx(-1.0, abs=1e-12)
+    assert not report.secure
 
 
 def test_threshold_root_value():

@@ -1,0 +1,55 @@
+"""Property-based checks of the per-qubit physics on a session's ledger.
+
+Every qubit of a vectorized session must obey the scalar rules: a
+matched-basis read returns the encoded bit, and the channel's flip is the
+only change between the state that was sent on and the bit that arrives.
+"""
+
+import numpy as np
+from hypothesis import given, reject, settings, strategies as st
+
+from bb84sim.protocol import (
+    ChannelModel,
+    EmptySampleError,
+    EveStrategy,
+    SessionConfig,
+    run_session,
+)
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(2, 2000),
+    f=unit,
+    p=unit,
+    seed=st.integers(0, 2**64 - 1),
+    sample_fraction=st.floats(0.05, 0.95),
+)
+def test_ledger_obeys_per_qubit_rules(n, f, p, seed, sample_fraction):
+    config = SessionConfig(
+        n, EveStrategy.intercept_resend(f), ChannelModel.depolarizing(p),
+        sample_fraction=sample_fraction, seed=seed,
+    )
+    try:
+        result = run_session(config)
+    except EmptySampleError:
+        reject()
+    led = result.records
+
+    intercepted = led.eve_intercepted
+    # Eve reads Alice's bit exactly when she guesses the preparation basis.
+    eve_matched = intercepted & (led.eve_bases == led.alice_bases)
+    assert np.array_equal(led.eve_bits[eve_matched], led.alice_bits[eve_matched])
+
+    # The state in flight is Eve's resend where she intercepted, else Alice's.
+    state_bits = np.where(intercepted, led.eve_bits, led.alice_bits)
+    state_bases = np.where(intercepted, led.eve_bases, led.alice_bases)
+    bob_matched = led.bob_bases == state_bases
+    arriving = state_bits ^ led.channel_flipped
+    assert np.array_equal(led.bob_bits[bob_matched], arriving[bob_matched])
+
+    assert not np.any(led.sampled & ~led.sifted)
+    errors = int(np.count_nonzero(led.sampled & (led.alice_bits != led.bob_bits)))
+    assert errors == result.estimate.errors_k

@@ -1,0 +1,84 @@
+"""Golden bytes of whole sessions, and the draw identity they rest on.
+
+Each digest is a sha256 over every ledger column's dtype and raw bytes,
+followed by (sifted_count, errors_k, compared_n). Any change to the random
+stream, its block order or the per-qubit physics changes a digest, so a
+speed-up that claims to be byte-identical is checked here first. The odd
+qubit counts leave PCG64 holding a buffered half-word between blocks.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from bb84sim.protocol import (
+    ChannelModel,
+    EveStrategy,
+    SessionConfig,
+    _random_bits,
+    run_session,
+)
+
+COLUMNS = (
+    "alice_bits", "alice_bases", "eve_intercepted", "eve_bases", "eve_bits",
+    "channel_flipped", "bob_bases", "bob_bits", "sifted", "sampled",
+)
+
+# (eve fraction, depolarizing p or None for the ideal channel, n_qubits) -> digest
+GOLDEN = {
+    (0.0, None, 7): "5dbe5ea13f4e4e76cfa5d8bc6317c50c8cb8fa6f273a330d1cf7ff9ce947f82b",
+    (0.0, None, 1_001): "0447ebdacf3577b1f163f85572d4b74e7bf8355abcb15f62abcdffa394ad98c4",
+    (0.0, None, 50_001): "9b2aa82eb01095c768400d84c5043b5d550c8c1f1ab3d5c5a10e3cf803724242",
+    (0.5, None, 7): "fcfe41543cb02ab6679e477e9a9a1356ee481252dcc19b4bfd428214965c0ff6",
+    (0.5, None, 1_001): "4f65f679eec75c6f06c0152f0f21e98b1af4b8446d5ae66f197832008e451554",
+    (0.5, None, 50_001): "207752c832fb4b5477d88153f92be359a0388111e8b6a8a6f0528c9e8761d50a",
+    (1.0, None, 7): "c88975bdab8f30fa4cbf7cbb40e9b7571c9af058082e087e374ed84323af84bf",
+    (1.0, None, 1_001): "a84a50d4420d6d527845a2c810b6b30f10c79c25e86e78b1d25060c8e34c45c6",
+    (1.0, None, 50_001): "ec83fe05000e35d1995d50e7e9b7f38a4d6f77e8618590e3a2d5b825151ec72c",
+    (0.3, 0.05, 7): "fcfe41543cb02ab6679e477e9a9a1356ee481252dcc19b4bfd428214965c0ff6",
+    (0.3, 0.05, 1_001): "316221c0b0a930749fb1460c61ea559d7c3572d21d97a6ce443dfb89c473a4aa",
+    (0.3, 0.05, 50_001): "3e62c8b938ac6db1bfc3736604004aa3d5d2a0b86f5f41cbf21c29f3888d2693",
+    (0.3, 1.0, 7): "af9dc7c3df3b9a2790d0ace4701483b3144b1c1a7c669d82280efce91909a584",
+    (0.3, 1.0, 1_001): "654f3cac0c95f82f4497d55558227e9dfde83c637190c229aaecb3b9a67536df",
+    (0.3, 1.0, 50_001): "260950e137f83c4cbab7404f5311edae3f914c1f51aef29fa9a73c934d82e223",
+}
+
+
+def session_digest(f, p, n):
+    eve = EveStrategy.intercept_resend(f) if f > 0 else EveStrategy.absent()
+    channel = ChannelModel.depolarizing(p) if p is not None else ChannelModel.ideal()
+    result = run_session(SessionConfig(n, eve, channel, seed=42))
+    h = hashlib.sha256()
+    for name in COLUMNS:
+        column = getattr(result.records, name)
+        h.update(f"{name}:{column.dtype.str}:".encode())
+        h.update(column.tobytes())
+    est = result.estimate
+    h.update(repr((result.sifted_count, est.errors_k, est.compared_n)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "f, p, n", list(GOLDEN),
+    ids=[f"f{f}-{'ideal' if p is None else f'p{p}'}-n{n}" for f, p, n in GOLDEN],
+)
+def test_session_bytes_are_golden(f, p, n):
+    assert session_digest(f, p, n) == GOLDEN[(f, p, n)]
+
+
+# n = 1..17 covers every remainder mod 4 and mod 8 around a few words.
+@pytest.mark.parametrize("n", [*range(1, 18), 1_001, 49_999, 50_000, 50_001])
+@pytest.mark.parametrize("earlier", [0, 3], ids=["fresh", "after-odd-draw"])
+def test_random_bits_match_integers_draw(n, earlier):
+    """`_random_bits` is `rng.integers(0, 2, n, dtype=np.uint8)` in values,
+    dtype and the generator state it leaves, also when an earlier odd-length
+    draw left PCG64 holding a buffered half-word."""
+    ref, rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    for gen in (ref, rng):
+        gen.integers(0, 2, earlier, dtype=np.uint8)
+    expected = ref.integers(0, 2, n, dtype=np.uint8)
+    got = _random_bits(rng, n)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert rng.bit_generator.state == ref.bit_generator.state
