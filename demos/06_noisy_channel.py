@@ -24,10 +24,9 @@ def main() -> None:
     print(f"threshold: {threshold_root():.6f} error rate, ~0.22 depolarizing p\n")
     print(f"{'p':>5}  {'expected':>9}  {'observed':>9}  decision")
     for p in (0.0, 0.05, 0.10, 0.15, 0.20, 0.22, 0.25, 0.30):
-        channel = ChannelModel.depolarizing(p) if p > 0 else ChannelModel.ideal()
-        result = run_session(
-            SessionConfig(50_000, EveStrategy.absent(), channel, seed=42)
-        )
+        result = run_session(SessionConfig(
+            50_000, EveStrategy.absent(), ChannelModel.depolarizing(p), seed=42
+        ))
         est = result.estimate
         ci = confidence_interval(est, 0.95, CIMethod.CLOPPER_PEARSON)
         verdict = decide(est, ci, DecisionPolicy.UPPER_BOUND)

@@ -4,7 +4,6 @@ key-rate based security decision, plus seeded Monte Carlo runners.
 """
 
 from .core import (
-    BB84State,
     Basis,
     CIMethod,
     ConfidenceInterval,
@@ -12,7 +11,6 @@ from .core import (
     QberEstimate,
     SecurityVerdict,
     TransmissionRecord,
-    flip,
 )
 from .decision import (
     DecisionPolicy,
@@ -35,21 +33,13 @@ from .harness import (
     run_sweep,
 )
 from .protocol import (
-    ChannelKind,
     ChannelModel,
     EmptySampleError,
-    EveKind,
     EveStrategy,
-    InterceptMetadata,
     SessionConfig,
     SessionResult,
     TransmissionLedger,
-    channel_act,
-    eve_act,
-    measure,
-    prepare,
     run_session,
-    sift,
 )
 from .stats import (
     TrialAggregate,
@@ -67,20 +57,16 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BB84State",
     "Basis",
     "CIMethod",
-    "ChannelKind",
     "ChannelModel",
     "ConfidenceInterval",
     "Decision",
     "DecisionPolicy",
     "EmptySampleError",
-    "EveKind",
     "EveStrategy",
     "FiniteSizePoint",
     "HistogramResult",
-    "InterceptMetadata",
     "KeyRateReport",
     "QberEstimate",
     "SecurityVerdict",
@@ -95,7 +81,6 @@ __all__ = [
     "TrialRow",
     "aggregate_trials",
     "binary_entropy",
-    "channel_act",
     "ci_clopper_pearson",
     "ci_hoeffding",
     "ci_wald",
@@ -103,18 +88,13 @@ __all__ = [
     "confidence_interval",
     "decide",
     "derive_trial_seed",
-    "eve_act",
-    "flip",
     "hoeffding_half_width",
     "key_rate",
-    "measure",
     "normal_quantile",
-    "prepare",
     "qber_point",
     "run_finite_size_study",
     "run_histogram",
     "run_session",
     "run_sweep",
-    "sift",
     "threshold_root",
 ]

@@ -25,13 +25,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import CIMethod, QberEstimate
+from .core import CIMethod, QberEstimate, check_confidence, check_probability
 from .decision import DecisionPolicy, decide, key_rate, threshold_root
 from .harness import SweepConfig, SweepResult, TrialRow, run_sweep
 from .protocol import ChannelModel, EveStrategy, SessionConfig, run_session
@@ -48,10 +47,6 @@ AGGREGATE_CSV_HEADER = "f,trials,mean_qber,std_dev,ci_low,ci_high,theory"
 
 _CI_CHOICES = tuple(m.value for m in CIMethod)
 _POLICY_CHOICES = tuple(p.value for p in DecisionPolicy)
-
-
-class UsageError(ValueError):
-    """Bad flag combination discovered after argparse accepted the syntax."""
 
 
 def _fmt(x: float) -> str:
@@ -241,18 +236,9 @@ def _resolve_seed(flag_value: Optional[int]) -> int:
     if raw is None:
         return 42
     try:
-        seed = int(raw)
+        return int(raw)
     except ValueError:
-        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-    if not 0 <= seed < 2**64:
-        raise UsageError(f"{SEED_ENV_VAR} must fit in 64 bits, got {seed}")
-    return seed
-
-
-def _channel_from(depolarizing_p: float) -> ChannelModel:
-    if depolarizing_p == 0.0:
-        return ChannelModel.ideal()
-    return ChannelModel.depolarizing(depolarizing_p)
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def _add_session_flags(p: argparse.ArgumentParser) -> None:
@@ -265,9 +251,6 @@ def _add_session_flags(p: argparse.ArgumentParser) -> None:
                         "default, this flag overrides both)")
     p.add_argument("--depolarizing-p", type=float, default=0.0,
                    help="channel depolarizing probability (default 0.0 = ideal)")
-    p.add_argument("--ci", choices=_CI_CHOICES, default=CIMethod.CLOPPER_PEARSON.value,
-                   help="interval method for per-trial estimates "
-                        "(default clopper-pearson)")
     p.add_argument("--confidence", type=float, default=0.95,
                    help="two-sided confidence level (default 0.95)")
 
@@ -290,29 +273,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="parallel trial workers; output is identical "
                               "for any value (default 1)")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(inputs=_sweep_inputs, func=cmd_sweep)
 
     p_trial = sub.add_parser("trial", help="run a single session end to end")
     p_trial.add_argument("--eve-fraction", type=float, default=0.0,
                          help="interception fraction f (default 0.0)")
     _add_session_flags(p_trial)
+    p_trial.add_argument("--ci", choices=_CI_CHOICES,
+                         default=CIMethod.CLOPPER_PEARSON.value,
+                         help="interval method for the estimate (default clopper-pearson)")
     p_trial.add_argument("--policy", choices=_POLICY_CHOICES,
                          default=DecisionPolicy.UPPER_BOUND.value,
                          help="decide on the point estimate or on the interval's "
                               "upper bound (default upper)")
-    p_trial.set_defaults(func=cmd_trial)
+    p_trial.set_defaults(inputs=_trial_inputs, func=cmd_trial)
 
     p_ci = sub.add_parser(
         "ci", help="print all four binomial intervals for (k, n)")
     p_ci.add_argument("--k", type=int, required=True, help="observed errors")
     p_ci.add_argument("--n", type=int, required=True, help="compared bits")
     p_ci.add_argument("--confidence", type=float, default=0.95)
-    p_ci.set_defaults(func=cmd_ci)
+    p_ci.set_defaults(inputs=_ci_inputs, func=cmd_ci)
 
     p_thr = sub.add_parser(
         "threshold", help="security threshold and key rate at a given QBER")
     p_thr.add_argument("--qber", type=float, required=True)
-    p_thr.set_defaults(func=cmd_threshold)
+    p_thr.set_defaults(inputs=_threshold_inputs, func=cmd_threshold)
 
     return parser
 
@@ -322,36 +308,44 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _f_grid(start: float, end: float, step: float) -> tuple[float, ...]:
-    if step <= 0.0:
-        raise UsageError(f"--f-step must be positive, got {step}")
-    if not 0.0 <= start <= 1.0 or not 0.0 <= end <= 1.0:
-        raise UsageError("--f-start and --f-end must lie in [0, 1]")
+    """start, start + step, ... while the value does not pass end.
+
+    The arithmetic is decimal on the flags' shortest float reprs, so 0.3 is
+    0.3 with no floating-point crumbs and no value lands past end.
+    """
+    from decimal import Decimal  # only sweeps build a grid
+
+    if not step > 0.0:
+        raise ValueError(f"--f-step must be positive, got {step}")
+    check_probability("--f-start", start)
+    check_probability("--f-end", end)
     if end < start:
-        raise UsageError("--f-end must not be less than --f-start")
-    count = int(math.floor((end - start) / step + 1e-9)) + 1
-    return tuple(round(start + i * step, 10) for i in range(count))
+        raise ValueError("--f-end must not be less than --f-start")
+    first, stop, delta = (Decimal(repr(x)) for x in (start, end, step))
+    count = int((stop - first) / delta) + 1
+    return (start,) + tuple(float(first + i * delta) for i in range(1, count))
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    f_values = _f_grid(args.f_start, args.f_end, args.f_step)
-    if args.trials < 2:
-        raise UsageError(
-            f"--trials must be at least 2 to aggregate, got {args.trials}")
+# Each subcommand has an inputs function, which turns the parsed flags into
+# validated values and raises ValueError on a usage error, and a command
+# function, which runs on those values; main maps the two to exit 1 and 2.
+
+
+def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
     if args.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
-    try:
-        config = SweepConfig(
-            f_values=f_values,
-            trials_per_f=args.trials,
-            n_qubits=args.qubits,
-            sample_fraction=args.sample_fraction,
-            channel=_channel_from(args.depolarizing_p),
-            master_seed=_resolve_seed(args.seed),
-            ci_method=CIMethod(args.ci),
-            confidence=args.confidence,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    return SweepConfig(
+        f_values=_f_grid(args.f_start, args.f_end, args.f_step),
+        trials_per_f=args.trials,
+        n_qubits=args.qubits,
+        sample_fraction=args.sample_fraction,
+        channel=ChannelModel.depolarizing(args.depolarizing_p),
+        master_seed=_resolve_seed(args.seed),
+        confidence=args.confidence,
+    )
+
+
+def cmd_sweep(args: argparse.Namespace, config: SweepConfig) -> int:
     result = run_sweep(config, workers=args.workers)
     agg = aggregate_rows(result)
 
@@ -383,22 +377,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_trial(args: argparse.Namespace) -> int:
-    if not 0.0 <= args.eve_fraction <= 1.0:
-        raise UsageError(
-            f"--eve-fraction must lie in [0, 1], got {args.eve_fraction}")
-    try:
-        eve = (EveStrategy.intercept_resend(args.eve_fraction)
-               if args.eve_fraction > 0.0 else EveStrategy.absent())
-        config = SessionConfig(
-            n_qubits=args.qubits,
-            eve=eve,
-            channel=_channel_from(args.depolarizing_p),
-            sample_fraction=args.sample_fraction,
-            seed=_resolve_seed(args.seed),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _trial_inputs(args: argparse.Namespace) -> SessionConfig:
+    check_confidence(args.confidence)
+    return SessionConfig(
+        n_qubits=args.qubits,
+        eve=EveStrategy.intercept_resend(args.eve_fraction),
+        channel=ChannelModel.depolarizing(args.depolarizing_p),
+        sample_fraction=args.sample_fraction,
+        seed=_resolve_seed(args.seed),
+    )
+
+
+def cmd_trial(args: argparse.Namespace, config: SessionConfig) -> int:
     result = run_session(config)
     est = result.estimate
     method = CIMethod(args.ci)
@@ -422,15 +412,12 @@ def cmd_trial(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_ci(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be at least 1, got {args.n}")
-    if not 0 <= args.k <= args.n:
-        raise UsageError(f"--k must lie in [0, n], got k={args.k}, n={args.n}")
-    if not 0.0 < args.confidence < 1.0:
-        raise UsageError(
-            f"--confidence must lie in (0, 1), got {args.confidence}")
-    est = QberEstimate(errors_k=args.k, compared_n=args.n)
+def _ci_inputs(args: argparse.Namespace) -> QberEstimate:
+    check_confidence(args.confidence)
+    return QberEstimate(errors_k=args.k, compared_n=args.n)
+
+
+def cmd_ci(args: argparse.Namespace, est: QberEstimate) -> int:
     print(f"k = {args.k}, n = {args.n}, confidence = {args.confidence}")
     print(f"point estimate = {_fmt(est.point_estimate)}")
     for method in CIMethod:
@@ -440,13 +427,17 @@ def cmd_ci(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_threshold(args: argparse.Namespace) -> int:
+def _threshold_inputs(args: argparse.Namespace) -> float:
     if not 0.0 <= args.qber <= 0.5:
-        raise UsageError(f"--qber must lie in [0, 0.5], got {args.qber}")
+        raise ValueError(f"--qber must lie in [0, 0.5], got {args.qber}")
+    return args.qber
+
+
+def cmd_threshold(args: argparse.Namespace, qber: float) -> int:
     root = threshold_root()
-    report = key_rate(args.qber)
+    report = key_rate(qber)
     print(f"threshold q*   : {_fmt(root)}")
-    print(f"qber           : {_fmt(args.qber)}")
+    print(f"qber           : {_fmt(qber)}")
     print(f"key rate       : {_fmt(report.rate)}")
     print(f"status         : {'secure' if report.secure else 'insecure'}")
     return EXIT_OK
@@ -459,10 +450,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
-        return args.func(args)
-    except UsageError as exc:
+        inputs = args.inputs(args)
+    except ValueError as exc:
         print(f"bb84sim: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        return args.func(args, inputs)
     except Exception as exc:
         print(f"bb84sim: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -1,4 +1,5 @@
-"""Shared domain types: bits, bases, BB84 states, per-qubit records, estimates.
+"""Shared domain types: bases, per-qubit records, estimates, and the bound
+checks on the quantities they share.
 
 Everything here is an immutable value type. Instances validate themselves on
 construction, so any record or estimate that exists is internally consistent.
@@ -34,33 +35,27 @@ class Decision(enum.Enum):
     ABORT = "abort"
 
 
-def _check_bit(value: int, name: str = "bit") -> int:
+def _check_bit(value: int, name: str) -> None:
     if value not in (0, 1):
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-    return int(value)
 
 
-def flip(bit: int) -> int:
-    """Return the complementary bit (0 <-> 1)."""
-    return _check_bit(bit) ^ 1
+def check_probability(name: str, value: float) -> None:
+    """Raise ValueError unless value lies in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class BB84State:
-    """One transmitted qubit: a classical bit encoded in a preparation basis.
+def check_confidence(confidence: float) -> None:
+    """Raise ValueError unless confidence lies strictly inside (0, 1)."""
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
 
-    The four (bit, basis) combinations are the only representable states;
-    measurement semantics (deterministic in the matching basis, uniformly
-    random otherwise) live in the protocol module.
-    """
 
-    bit: int
-    basis: Basis
-
-    def __post_init__(self) -> None:
-        _check_bit(self.bit)
-        if not isinstance(self.basis, Basis):
-            raise ValueError(f"basis must be a Basis, got {self.basis!r}")
+def check_compared_n(compared_n: int) -> None:
+    """Raise ValueError unless at least one bit was compared."""
+    if compared_n < 1:
+        raise ValueError(f"compared_n must be positive, got {compared_n}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,8 +101,7 @@ class QberEstimate:
     compared_n: int
 
     def __post_init__(self) -> None:
-        if self.compared_n <= 0:
-            raise ValueError(f"compared_n must be positive, got {self.compared_n}")
+        check_compared_n(self.compared_n)
         if not 0 <= self.errors_k <= self.compared_n:
             raise ValueError(
                 f"errors_k must be in [0, compared_n], got k={self.errors_k}, "
@@ -134,8 +128,7 @@ class ConfidenceInterval:
             raise ValueError(
                 f"need 0 <= lower <= upper <= 1, got [{self.lower}, {self.upper}]"
             )
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
+        check_confidence(self.confidence)
 
     @property
     def width(self) -> float:

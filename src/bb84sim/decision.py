@@ -15,7 +15,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .core import ConfidenceInterval, Decision, QberEstimate, SecurityVerdict
+from .core import (
+    ConfidenceInterval, Decision, QberEstimate, SecurityVerdict, check_probability,
+)
 
 
 class DecisionPolicy(enum.Enum):
@@ -37,8 +39,7 @@ class KeyRateReport:
 
 def binary_entropy(q: float) -> float:
     """H2(q) = -q log2 q - (1-q) log2 (1-q), with H2(0) = H2(1) = 0."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
+    check_probability("q", q)
     if q == 0.0 or q == 1.0:
         return 0.0
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
@@ -52,8 +53,7 @@ def key_rate(qber: float) -> KeyRateReport:
     approaches 1, which would call such a session secure, so the rate is
     held at its value at 0.5, namely -1. The report keeps the measured qber.
     """
-    if not 0.0 <= qber <= 1.0:
-        raise ValueError(f"qber must be in [0, 1], got {qber}")
+    check_probability("qber", qber)
     rate = 1.0 - 2.0 * binary_entropy(min(qber, 0.5))
     return KeyRateReport(qber=qber, rate=rate, secure=rate > 0.0)
 

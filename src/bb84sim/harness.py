@@ -12,13 +12,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import CIMethod, QberEstimate
-from .protocol import ChannelModel, EveStrategy, SessionConfig, run_session
-from .stats import TrialAggregate, aggregate_trials, confidence_interval
+from .core import CIMethod, QberEstimate, check_confidence, check_probability
+from .protocol import (
+    ChannelModel, EveStrategy, SessionConfig, check_session_params, run_session,
+)
+from .stats import TrialAggregate, aggregate_trials, check_trials, confidence_interval
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64 Weyl increment
@@ -55,31 +57,18 @@ class SweepConfig:
     sample_fraction: float = 0.5
     channel: ChannelModel = ChannelModel.ideal()
     master_seed: int = 42
-    ci_method: CIMethod = CIMethod.CLOPPER_PEARSON
     confidence: float = 0.95
 
     def __post_init__(self) -> None:
         if not self.f_values:
             raise ValueError("f_values must be non-empty")
-        if any(not 0.0 <= f <= 1.0 for f in self.f_values):
-            raise ValueError("every f must lie in [0, 1]")
+        for f in self.f_values:
+            check_probability("f", f)
         if any(b <= a for a, b in zip(self.f_values, self.f_values[1:])):
             raise ValueError("f_values must be strictly increasing")
-        if self.trials_per_f < 2:
-            raise ValueError(
-                f"at least 2 trials per point are required to aggregate, "
-                f"got {self.trials_per_f}"
-            )
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
-        if not 0.0 < self.sample_fraction < 1.0:
-            raise ValueError(
-                f"sample_fraction must be strictly in (0, 1), got {self.sample_fraction}"
-            )
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 bits")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
+        check_trials(self.trials_per_f)
+        check_session_params(self.n_qubits, self.sample_fraction, self.master_seed)
+        check_confidence(self.confidence)
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,10 +111,9 @@ def _run_trial(
     master_seed: int,
 ) -> TrialRow:
     seed = derive_trial_seed(master_seed, f_index, trial_index)
-    eve = EveStrategy.intercept_resend(f) if f > 0.0 else EveStrategy.absent()
     config = SessionConfig(
         n_qubits=n_qubits,
-        eve=eve,
+        eve=EveStrategy.intercept_resend(f),
         channel=channel,
         sample_fraction=sample_fraction,
         seed=seed,
@@ -231,8 +219,7 @@ def run_histogram(
     agree exactly (std = 0) a single bin holds them all. Pass f_index to
     reuse the per-trial seeds of a sweep position.
     """
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+    check_trials(trials)
     if bin_width <= 0.0:
         raise ValueError(f"bin_width must be positive, got {bin_width}")
     rows = _run_point_trials(
@@ -275,7 +262,7 @@ def run_finite_size_study(
     *,
     trials: int = 50,
     sample_fraction: float = 0.5,
-    channel: Optional[ChannelModel] = None,
+    channel: ChannelModel = ChannelModel.ideal(),
     master_seed: int = 42,
     ci_method: CIMethod = CIMethod.CLOPPER_PEARSON,
     confidence: float = 0.95,
@@ -291,7 +278,6 @@ def run_finite_size_study(
         raise ValueError("n_values must be non-empty")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing")
-    channel = channel if channel is not None else ChannelModel.ideal()
     out: list[FiniteSizePoint] = []
     for n_index, n_qubits in enumerate(n_values):
         rows = _run_point_trials(

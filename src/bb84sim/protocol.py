@@ -10,24 +10,19 @@ Eve guesses the wrong basis half the time, and only half of those corrupted
 positions read back wrong for Bob.
 
 Sessions are pure functions of their config. `run_session` is vectorized over
-the whole qubit train with numpy; the scalar operations (`prepare`, `measure`,
-`eve_act`, `channel_act`) define the same per-qubit semantics one state at a
-time. They consume the random stream in a different order, so no test
-compares them with `run_session`; the session's ledger is instead checked
-against the per-qubit rules by property-based tests.
+the whole qubit train with numpy and is the only implementation of the
+physics; tests check its ledger against the per-qubit rules.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .core import Basis, BB84State, QberEstimate, TransmissionRecord
+from .core import Basis, QberEstimate, TransmissionRecord, check_probability
 
 
 class EmptySampleError(RuntimeError):
@@ -37,94 +32,61 @@ class EmptySampleError(RuntimeError):
     """
 
 
-class ChannelKind(enum.Enum):
-    IDEAL = "ideal"
-    DEPOLARIZING = "depolarizing"
-
-
 @dataclass(frozen=True, slots=True)
 class ChannelModel:
     """Quantum channel noise model.
 
     The depolarizing channel replaces the qubit, with probability p, by a
     state in the same basis carrying a uniformly random bit, so the bit
-    survives with probability 1 - p/2. An ideal channel never disturbs
-    anything. Basis-mixing is deliberately not modelled: after sifting it
-    would be statistically indistinguishable from this bit-level model.
+    survives with probability 1 - p/2. The ideal channel is p = 0.
+    Basis-mixing is deliberately not modelled: after sifting it would be
+    statistically indistinguishable from this bit-level model.
     """
 
-    kind: ChannelKind
-    depolarizing_p: Optional[float] = None
+    depolarizing_p: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind is ChannelKind.DEPOLARIZING:
-            if self.depolarizing_p is None or not 0.0 <= self.depolarizing_p <= 1.0:
-                raise ValueError(
-                    f"depolarizing_p must be in [0, 1], got {self.depolarizing_p!r}"
-                )
-        elif self.depolarizing_p is not None:
-            raise ValueError("ideal channel takes no depolarizing_p")
+        check_probability("depolarizing_p", self.depolarizing_p)
 
     @classmethod
     def ideal(cls) -> "ChannelModel":
-        return cls(ChannelKind.IDEAL)
+        return cls(0.0)
 
     @classmethod
     def depolarizing(cls, p: float) -> "ChannelModel":
-        return cls(ChannelKind.DEPOLARIZING, p)
-
-    @property
-    def flip_probability(self) -> float:
-        """Probability that the channel changes the bit value (= p/2)."""
-        if self.kind is ChannelKind.IDEAL:
-            return 0.0
-        return self.depolarizing_p / 2.0
-
-
-class EveKind(enum.Enum):
-    ABSENT = "absent"
-    INTERCEPT_RESEND = "intercept-resend"
+        return cls(p)
 
 
 @dataclass(frozen=True, slots=True)
 class EveStrategy:
-    """Eavesdropping strategy. Absent behaves exactly like intercept-resend
-    with fraction 0: same random draws, same outputs."""
+    """Intercept-resend eavesdropping on a fraction f of the qubits. The
+    absent eavesdropper is f = 0."""
 
-    kind: EveKind
-    fraction_f: Optional[float] = None
+    fraction_f: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind is EveKind.INTERCEPT_RESEND:
-            if self.fraction_f is None or not 0.0 <= self.fraction_f <= 1.0:
-                raise ValueError(
-                    f"fraction_f must be in [0, 1], got {self.fraction_f!r}"
-                )
-        elif self.fraction_f is not None:
-            raise ValueError("absent strategy takes no fraction_f")
+        check_probability("fraction_f", self.fraction_f)
 
     @classmethod
     def absent(cls) -> "EveStrategy":
-        return cls(EveKind.ABSENT)
+        return cls(0.0)
 
     @classmethod
     def intercept_resend(cls, fraction: float) -> "EveStrategy":
-        return cls(EveKind.INTERCEPT_RESEND, fraction)
-
-    @property
-    def effective_fraction(self) -> float:
-        if self.kind is EveKind.ABSENT:
-            return 0.0
-        return self.fraction_f
+        return cls(fraction)
 
 
-@dataclass(frozen=True, slots=True)
-class InterceptMetadata:
-    """What Eve did at one position: nothing, or measure-and-resend."""
-
-    intercepted: bool
-    basis: Optional[Basis] = None
-    bit: Optional[int] = None
+def check_session_params(n_qubits: int, sample_fraction: float, seed: int) -> None:
+    """Raise ValueError unless n_qubits >= 1, sample_fraction is strictly
+    inside (0, 1) and seed fits in 64 bits."""
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be positive, got {n_qubits}")
+    if not 0.0 < sample_fraction < 1.0:
+        raise ValueError(
+            f"sample_fraction must be strictly in (0, 1), got {sample_fraction}"
+        )
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,14 +104,7 @@ class SessionConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
-        if not 0.0 < self.sample_fraction < 1.0:
-            raise ValueError(
-                f"sample_fraction must be strictly in (0, 1), got {self.sample_fraction}"
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        check_session_params(self.n_qubits, self.sample_fraction, self.seed)
 
 
 class TransmissionLedger(Sequence):
@@ -239,64 +194,6 @@ class SessionResult:
             raise ValueError("compared_n + raw_key_bits must equal sifted_count")
 
 
-def prepare(rng: np.random.Generator) -> BB84State:
-    """Draw one uniformly random BB84 state (independent bit and basis)."""
-    bit = int(rng.integers(0, 2))
-    basis = Basis(int(rng.integers(0, 2)))
-    return BB84State(bit, basis)
-
-
-def measure(state: BB84State, basis: Basis, rng: np.random.Generator) -> int:
-    """Measure a state in the given basis.
-
-    Matching basis reads the encoded bit back deterministically; a
-    mismatched basis yields a uniformly random bit (and consumes one draw
-    from the stream only in that case).
-    """
-    if basis == state.basis:
-        return state.bit
-    return int(rng.integers(0, 2))
-
-
-def eve_act(
-    state: BB84State, strategy: EveStrategy, rng: np.random.Generator
-) -> tuple[BB84State, InterceptMetadata]:
-    """Apply the eavesdropping strategy to one in-flight state.
-
-    With probability fraction_f Eve measures in a uniformly random basis and
-    resends a fresh state carrying her outcome in her basis; otherwise the
-    state passes through untouched. The metadata records what she saw.
-    """
-    f = strategy.effective_fraction
-    if f > 0.0 and rng.random() < f:
-        eve_basis = Basis(int(rng.integers(0, 2)))
-        eve_bit = measure(state, eve_basis, rng)
-        return BB84State(eve_bit, eve_basis), InterceptMetadata(True, eve_basis, eve_bit)
-    return state, InterceptMetadata(False)
-
-
-def channel_act(
-    state: BB84State, channel: ChannelModel, rng: np.random.Generator
-) -> tuple[BB84State, bool]:
-    """Apply channel noise to one state, reporting whether the bit changed.
-
-    Depolarizing with probability p: the qubit is replaced by a state in the
-    same basis with a uniformly random bit, so the bit flips with overall
-    probability p/2. Ideal channels return the input unchanged.
-    """
-    if channel.kind is ChannelKind.DEPOLARIZING and rng.random() < channel.depolarizing_p:
-        new_bit = int(rng.integers(0, 2))
-        return BB84State(new_bit, state.basis), new_bit != state.bit
-    return state, False
-
-
-def sift(records: Union[TransmissionLedger, Iterable[TransmissionRecord]]) -> list[int]:
-    """Return the positions where Alice's and Bob's bases match, in order."""
-    if isinstance(records, TransmissionLedger):
-        return np.flatnonzero(records.alice_bases == records.bob_bases).tolist()
-    return [i for i, rec in enumerate(records) if rec.alice_basis == rec.bob_basis]
-
-
 def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniform 0/1 draws as uint8, identical in values and in the
     generator state it leaves to `rng.integers(0, 2, n, dtype=np.uint8)`.
@@ -322,9 +219,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     order of whole-session draws: Alice bits, Alice bases, Eve intercept
     events, Eve bases, Eve mismatch outcomes, channel events, channel
     replacement bits, Bob bases, Bob mismatch outcomes, then the sample
-    choice. Every block is drawn regardless of the eve/channel settings, so
-    an absent Eve is bit-for-bit identical to intercept-resend with f = 0 and
-    an ideal channel to depolarizing with p = 0.
+    choice. Every block is drawn regardless of f and p.
 
     The 0/1 blocks are the top bit of each byte of `rng.bytes(n)`. That is
     what `rng.integers(0, 2, n, dtype=np.uint8)` returns, from the same
@@ -336,8 +231,8 @@ def run_session(config: SessionConfig) -> SessionResult:
     """
     rng = np.random.default_rng(config.seed)
     n = config.n_qubits
-    f = config.eve.effective_fraction
-    p = config.channel.flip_probability * 2.0
+    f = config.eve.fraction_f
+    p = config.channel.depolarizing_p
 
     alice_bits = _random_bits(rng, n)
     alice_bases = _random_bits(rng, n)

@@ -28,7 +28,10 @@ from typing import Sequence
 
 from scipy.special import bdtr, bdtrc
 
-from .core import CIMethod, ConfidenceInterval, QberEstimate
+from .core import (
+    CIMethod, ConfidenceInterval, QberEstimate,
+    check_compared_n, check_confidence, check_probability,
+)
 
 # Coefficients of Wichura's AS 241 rational approximations (PPND16 variant,
 # absolute error below 1e-15 over (0, 1)). Highest-order term first.
@@ -93,20 +96,18 @@ def normal_quantile(two_sided_level: float) -> float:
 
     normal_quantile(0.95) is the familiar 1.959964...
     """
-    if not 0.0 < two_sided_level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {two_sided_level}")
-    return _ppnd16(0.5 + two_sided_level / 2.0)
+    check_confidence(two_sided_level)
+    p = 0.5 + two_sided_level / 2.0
+    if p == 1.0:
+        # Only the largest level below 1 rounds up here; its lower tail
+        # (1 - level) / 2 is exact, and the quantile is symmetric.
+        return -_ppnd16((1.0 - two_sided_level) / 2.0)
+    return _ppnd16(p)
 
 
 def qber_point(errors_k: int, compared_n: int) -> QberEstimate:
     """Build the point estimate k/n from an error count over compared bits."""
     return QberEstimate(errors_k, compared_n)
-
-
-def _check_confidence(confidence: float) -> float:
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    return confidence
 
 
 def ci_wald(est: QberEstimate, confidence: float) -> ConfidenceInterval:
@@ -116,7 +117,6 @@ def ci_wald(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     collapses to a point; that pathology is the standard argument against
     Wald for small samples, and it is kept on purpose.
     """
-    _check_confidence(confidence)
     z = normal_quantile(confidence)
     p = est.point_estimate
     half = z * math.sqrt(p * (1.0 - p) / est.compared_n)
@@ -129,9 +129,10 @@ def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     """Wilson score interval.
 
     Centre (p-hat + z^2/2n) / (1 + z^2/n), half-width
-    (z / (1 + z^2/n)) * sqrt(p-hat (1 - p-hat)/n + z^2/4n^2).
+    (z / (1 + z^2/n)) * sqrt(p-hat (1 - p-hat)/n + z^2/4n^2). The exact
+    interval contains p-hat; the bounds are clamped to it because at k = 0
+    or k = n rounding can leave the nearer bound on the wrong side by ~1e-17.
     """
-    _check_confidence(confidence)
     z = normal_quantile(confidence)
     n = est.compared_n
     p = est.point_estimate
@@ -139,7 +140,8 @@ def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     centre = (p + z2n / 2.0) / (1.0 + z2n)
     half = (z / (1.0 + z2n)) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
     return ConfidenceInterval(
-        max(0.0, centre - half), min(1.0, centre + half), confidence, CIMethod.WILSON
+        max(0.0, min(p, centre - half)), min(1.0, max(p, centre + half)),
+        confidence, CIMethod.WILSON,
     )
 
 
@@ -165,7 +167,7 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
     found by bisection to an absolute tolerance of 1e-9; the binomial tails
     come from scipy's bdtr/bdtrc.
     """
-    _check_confidence(confidence)
+    check_confidence(confidence)
     alpha = 1.0 - confidence
     k, n = est.errors_k, est.compared_n
     if k == 0:
@@ -186,9 +188,8 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
 
 def hoeffding_half_width(compared_n: int, confidence: float) -> float:
     """Concentration half-width sqrt(ln(2/delta) / (2n)) with delta = 1 - confidence."""
-    _check_confidence(confidence)
-    if compared_n < 1:
-        raise ValueError("compared_n must be positive")
+    check_confidence(confidence)
+    check_compared_n(compared_n)
     delta = 1.0 - confidence
     return math.sqrt(math.log(2.0 / delta) / (2.0 * compared_n))
 
@@ -217,6 +218,13 @@ def confidence_interval(
     return _CI_FUNCTIONS[method](est, confidence)
 
 
+def check_trials(trials: int) -> None:
+    """Raise ValueError unless there are at least 2 trials, the fewest whose
+    sample standard deviation exists."""
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials to aggregate, got {trials}")
+
+
 @dataclass(frozen=True, slots=True)
 class TrialAggregate:
     """Cross-trial summary: mean, sample std (divisor m - 1), and the
@@ -228,10 +236,8 @@ class TrialAggregate:
     ci_of_mean: ConfidenceInterval
 
     def __post_init__(self) -> None:
-        if self.trials_m < 2:
-            raise ValueError("aggregate needs at least 2 trials")
-        if not 0.0 <= self.mean_qber <= 1.0:
-            raise ValueError(f"mean_qber out of [0, 1]: {self.mean_qber}")
+        check_trials(self.trials_m)
+        check_probability("mean_qber", self.mean_qber)
         if self.std_dev < 0.0:
             raise ValueError(f"std_dev must be non-negative: {self.std_dev}")
 
@@ -245,10 +251,8 @@ def aggregate_trials(
     correction) and is clamped to [0, 1]. It carries the WALD tag: it is the
     same normal approximation, applied to the Monte Carlo mean.
     """
-    _check_confidence(confidence)
     m = len(per_trial)
-    if m < 2:
-        raise ValueError(f"need at least 2 trials to aggregate, got {m}")
+    check_trials(m)
     values = [e.point_estimate for e in per_trial]
     mean = math.fsum(values) / m
     var = math.fsum((v - mean) ** 2 for v in values) / (m - 1)

@@ -1,0 +1,41 @@
+"""What the benchmark in perfbench/ needs from the package.
+
+perfbench instruments bb84sim from outside, by name, and builds a session in
+a fresh interpreter from a code snippet. A rename or signature change here
+would make every traced or probed benchmark run fail, so these checks run
+with the package's own tests.
+"""
+
+import contextlib
+import importlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_and_counted_names_resolve():
+    spans = _load("spans")
+    for module_name, func_name, *_ in (*spans.TRACED, *spans.COUNTED):
+        module = importlib.import_module(f"bb84sim.{module_name}")
+        assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
+
+
+def test_allocation_probe_snippet_runs(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # probes imports its sibling yardstick
+    snippet = _load("probes").ALLOC_SNIPPET
+    namespace = {}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(snippet, namespace)
+    assert namespace["config"].seed == 42
+    assert set(json.loads(out.getvalue())) == {"peak_alloc_bytes", "ledger_bytes"}

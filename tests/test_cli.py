@@ -2,6 +2,7 @@ import json
 import re
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bb84sim.cli import (
     AGGREGATE_CSV_HEADER,
@@ -43,6 +44,22 @@ def test_f_grid_coarse_and_degenerate():
     assert _f_grid(0.25, 0.25, 0.1) == (0.25,)
 
 
+@given(
+    ends=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    step=st.floats(1e-3, 2.0),
+)
+@example(ends=[0.0, 0.1], step=0.1000000001)
+def test_f_grid_stays_within_its_ends(ends, step):
+    start, end = ends
+    grid = _f_grid(start, end, step)
+    assert grid[0] == start
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+    assert start <= grid[0] and grid[-1] <= end
+    # one step short of end at most; 1e-12 absorbs the float rounding of
+    # the decimal grid value and of end - grid[-1]
+    assert end - grid[-1] < step + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -54,7 +71,10 @@ def test_usage_errors_exit_1(monkeypatch, tmp_path, capsys):
         ["sweep", "--trials", "1"],
         ["sweep", "--f-step", "-0.1"],
         ["sweep", "--sample-fraction", "1.5"],
+        ["sweep", "--ci", "wald"],
         ["trial", "--eve-fraction", "2.0"],
+        ["trial", "--confidence", "1.5"],
+        ["trial", "--ci", "wald", "--confidence", "0"],
         ["ci", "--k", "5", "--n", "2"],
         ["ci", "--k", "1", "--n", "0"],
         ["ci", "--k", "1", "--n", "10", "--confidence", "1.0"],

@@ -2,14 +2,12 @@ import pytest
 
 from bb84sim.core import (
     Basis,
-    BB84State,
     CIMethod,
     ConfidenceInterval,
     Decision,
     QberEstimate,
     SecurityVerdict,
     TransmissionRecord,
-    flip,
 )
 
 
@@ -25,40 +23,6 @@ def test_ci_method_names():
     assert CIMethod("wilson") is CIMethod.WILSON
     assert CIMethod("clopper-pearson") is CIMethod.CLOPPER_PEARSON
     assert CIMethod("hoeffding") is CIMethod.HOEFFDING
-
-
-def test_flip():
-    assert flip(0) == 1
-    assert flip(1) == 0
-    assert flip(flip(0)) == 0
-    assert flip(flip(1)) == 1
-
-
-@pytest.mark.parametrize("bad", [-1, 2, 0.5, "0", None])
-def test_flip_rejects_non_bits(bad):
-    with pytest.raises(ValueError):
-        flip(bad)
-
-
-def test_bb84_state_all_four_combinations():
-    for bit in (0, 1):
-        for basis in Basis:
-            s = BB84State(bit, basis)
-            assert s.bit == bit
-            assert s.basis is basis
-
-
-def test_bb84_state_validation():
-    with pytest.raises(ValueError):
-        BB84State(2, Basis.RECTILINEAR)
-    with pytest.raises(ValueError):
-        BB84State(0, 0)  # plain int is not a Basis
-
-
-def test_bb84_state_is_immutable():
-    s = BB84State(0, Basis.DIAGONAL)
-    with pytest.raises(AttributeError):
-        s.bit = 1
 
 
 def _record(**overrides):

@@ -1,4 +1,5 @@
-"""Golden bytes of whole sessions, and the draw identity they rest on.
+"""Golden bytes of whole sessions, the draw identity they rest on, and a
+one-qubit-at-a-time reference that reproduces them.
 
 Each digest is a sha256 over every ledger column's dtype and raw bytes,
 followed by (sifted_count, errors_k, compared_n). Any change to the random
@@ -8,6 +9,7 @@ qubit counts leave PCG64 holding a buffered half-word between blocks.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -82,3 +84,68 @@ def test_random_bits_match_integers_draw(n, earlier):
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def reference_session(f, p, n, sample_fraction=0.5, seed=42):
+    """The session of `run_session`, from plain `rng.integers`/`rng.random`
+    draws in its documented block order and a per-qubit Python loop.
+
+    Returns the 10 ledger columns as lists and (sifted_count, errors_k,
+    compared_n). Eve's read is recorded at every position, as in the ledger,
+    though only intercepted positions use it.
+    """
+    rng = np.random.default_rng(seed)
+
+    def bits():
+        return rng.integers(0, 2, n, dtype=np.uint8).tolist()
+
+    alice_bits, alice_bases = bits(), bits()
+    intercept_draws = rng.random(n).tolist()
+    eve_bases, eve_draws = bits(), bits()
+    depolarize_draws = rng.random(n).tolist()
+    channel_draws = bits()
+    bob_bases, bob_draws = bits(), bits()
+
+    cols = {name: [] for name in COLUMNS}
+    for i in range(n):
+        bit, basis = alice_bits[i], alice_bases[i]
+        intercepted = intercept_draws[i] < f
+        # A read in the preparation basis returns the bit, otherwise a coin.
+        eve_bit = bit if eve_bases[i] == basis else eve_draws[i]
+        if intercepted:
+            bit, basis = eve_bit, eve_bases[i]
+        flipped = False
+        if depolarize_draws[i] < p:
+            flipped = channel_draws[i] != bit
+            bit = channel_draws[i]
+        bob_bit = bit if bob_bases[i] == basis else bob_draws[i]
+        row = (
+            alice_bits[i], alice_bases[i], intercepted, eve_bases[i], eve_bit,
+            flipped, bob_bases[i], bob_bit, alice_bases[i] == bob_bases[i], False,
+        )
+        for name, value in zip(COLUMNS, row):
+            cols[name].append(value)
+
+    sifted_idx = [i for i in range(n) if cols["sifted"][i]]
+    sample_size = math.floor(sample_fraction * len(sifted_idx))
+    sample = rng.choice(np.array(sifted_idx), size=sample_size, replace=False).tolist()
+    for i in sample:
+        cols["sampled"][i] = True
+    errors_k = sum(cols["alice_bits"][i] != cols["bob_bits"][i] for i in sample)
+    return cols, (len(sifted_idx), errors_k, sample_size)
+
+
+@pytest.mark.parametrize(
+    "f, p, n", list(GOLDEN),
+    ids=[f"f{f}-{'ideal' if p is None else f'p{p}'}-n{n}" for f, p, n in GOLDEN],
+)
+def test_session_matches_per_qubit_reference(f, p, n):
+    cols, counts = reference_session(f, 0.0 if p is None else p, n)
+    result = run_session(SessionConfig(
+        n, EveStrategy.intercept_resend(f),
+        ChannelModel.depolarizing(0.0 if p is None else p), seed=42,
+    ))
+    for name in COLUMNS:
+        assert getattr(result.records, name).tolist() == cols[name], name
+    est = result.estimate
+    assert (result.sifted_count, est.errors_k, est.compared_n) == counts

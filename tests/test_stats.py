@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from bb84sim.core import CIMethod, QberEstimate
 from bb84sim.stats import (
@@ -67,6 +68,11 @@ def test_normal_quantile_extreme_levels():
     for level in (1e-12, 1 - 1e-12, 1e-9, 1 - 1e-9):
         ref = float(scipy.stats.norm.ppf(0.5 + level / 2.0))
         assert normal_quantile(level) == pytest.approx(ref, rel=1e-9)
+    # For the largest level below 1, 0.5 + level/2 rounds to 1; the
+    # reference takes the exact upper tail instead.
+    top = 1 - 2**-53
+    ref = float(scipy.stats.norm.isf((1.0 - top) / 2.0))
+    assert normal_quantile(top) == pytest.approx(ref, rel=1e-9)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5])
@@ -248,6 +254,47 @@ def test_all_methods_bracket_the_point_estimate():
     hoeffding = confidence_interval(est, 0.95, CIMethod.HOEFFDING)
     for method in (CIMethod.WALD, CIMethod.WILSON, CIMethod.CLOPPER_PEARSON):
         assert hoeffding.width > confidence_interval(est, 0.95, method).width
+
+
+# Property checks over arbitrary (k, n, confidence).
+counts = st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
+levels = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(deadline=None)
+@given(counts, levels)
+def test_every_interval_lies_in_unit_range_and_brackets_k_over_n(kn, confidence):
+    k, n = kn
+    est = QberEstimate(k, n)
+    for method in CIMethod:
+        ci = confidence_interval(est, confidence, method)
+        assert 0.0 <= ci.lower <= k / n <= ci.upper <= 1.0, method
+
+
+@settings(deadline=None)
+@given(counts, levels, levels)
+def test_raising_confidence_never_shrinks_an_interval(kn, a, b):
+    k, n = kn
+    low, high = sorted((a, b))
+    est = QberEstimate(k, n)
+    for method in CIMethod:
+        # Clopper-Pearson bounds come from bisections to 1e-9.
+        tol = 1e-9 if method is CIMethod.CLOPPER_PEARSON else 0.0
+        narrow = confidence_interval(est, low, method)
+        wide = confidence_interval(est, high, method)
+        assert wide.lower <= narrow.lower + tol, method
+        assert wide.upper >= narrow.upper - tol, method
+
+
+@settings(deadline=None)
+@given(counts, levels)
+def test_wald_lies_inside_hoeffding(kn, confidence):
+    # Both are centred on k/n. Wald's half-width is at most z/(2 sqrt n), and
+    # z^2/4 <= ln(2/delta)/2 because delta = 2 Phi(-z) <= exp(-z^2/2).
+    est = QberEstimate(*kn)
+    wald = ci_wald(est, confidence)
+    hoeffding = ci_hoeffding(est, confidence)
+    assert hoeffding.lower <= wald.lower and wald.upper <= hoeffding.upper
 
 
 def test_widths_shrink_with_n():
