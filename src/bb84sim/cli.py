@@ -8,12 +8,11 @@ Subcommands:
 
 Exit statuses: 0 success, 1 usage error, 2 runtime/simulation error.
 
-Output formats (frozen; golden tests depend on the exact bytes):
-  per-trial CSV header  f,trial,seed,n_qubits,sifted_count,compared_n,errors_k,qber
-  aggregate CSV header  f,trials,mean_qber,std_dev,ci_low,ci_high,theory
-Floats are fixed 6-decimal in CSV. JSON rows carry the same columns with the
-values rounded to 6 decimals before serialization, so both formats encode the
-identical numbers.
+Output formats (frozen; golden tests depend on the exact bytes): the columns
+of the per-trial file are the fields of `harness.TrialRow`, and those of the
+aggregate file the fields of `AggregateRow`, in field order. Floats are fixed
+6-decimal in CSV. JSON rows carry the same columns with the values rounded to
+6 decimals before serialization, so both formats encode the identical numbers.
 
 The default master seed is 42; the BB84SIM_SEED environment variable
 overrides it, and an explicit --seed flag overrides both.
@@ -27,8 +26,9 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from functools import cache
+from typing import Optional, Sequence, get_type_hints
 
 from .core import CIMethod, QberEstimate, check_confidence, check_probability
 from .decision import DecisionPolicy, decide, key_rate, threshold_root
@@ -41,9 +41,6 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 SEED_ENV_VAR = "BB84SIM_SEED"
-
-TRIAL_CSV_HEADER = "f,trial,seed,n_qubits,sifted_count,compared_n,errors_k,qber"
-AGGREGATE_CSV_HEADER = "f,trials,mean_qber,std_dev,ci_low,ci_high,theory"
 
 _CI_CHOICES = tuple(m.value for m in CIMethod)
 _POLICY_CHOICES = tuple(p.value for p in DecisionPolicy)
@@ -59,7 +56,7 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True, slots=True)
 class AggregateRow:
-    """One aggregate-file row; mirrors the aggregate CSV columns exactly."""
+    """One aggregate-file row; its fields, in order, are the file's columns."""
 
     f: float
     trials: int
@@ -88,131 +85,71 @@ def aggregate_rows(result: SweepResult) -> list[AggregateRow]:
     return rows
 
 
-def format_trials_csv(rows: Sequence[TrialRow]) -> str:
+# Each output file is described by its row dataclass: the fields, in order,
+# are the columns, and a field's type picks how its values are written.
+_CSV_CELL = {float: _fmt, int: str}
+_JSON_VALUE = {float: lambda x: round(x, 6), int: int}
+
+
+@cache
+def columns(row_type: type) -> tuple[tuple[str, type], ...]:
+    """(name, type) of each column of a row dataclass, in file order."""
+    hints = get_type_hints(row_type)
+    return tuple((field.name, hints[field.name]) for field in fields(row_type))
+
+
+def _cells(row: object, formatters: dict) -> list:
+    return [formatters[kind](getattr(row, name)) for name, kind in columns(type(row))]
+
+
+def format_csv(row_type: type, rows: Sequence) -> str:
+    """A header of the column names, then one line per row; floats 6-decimal."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRIAL_CSV_HEADER.split(","))
-    for r in rows:
-        writer.writerow(
-            [
-                _fmt(r.f),
-                r.trial,
-                r.seed,
-                r.n_qubits,
-                r.sifted_count,
-                r.compared_n,
-                r.errors_k,
-                _fmt(r.qber),
-            ]
-        )
+    writer.writerow(name for name, _ in columns(row_type))
+    writer.writerows(_cells(r, _CSV_CELL) for r in rows)
     return buf.getvalue()
 
 
-def parse_trials_csv(text: str) -> list[TrialRow]:
+def parse_csv(row_type: type, text: str) -> list:
+    """Rows of a file written by format_csv; format_csv reproduces its bytes."""
+    cols = columns(row_type)
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
-    if header != TRIAL_CSV_HEADER.split(","):
-        raise ValueError(f"unexpected per-trial CSV header: {header}")
-    rows = []
-    for rec in reader:
-        rows.append(
-            TrialRow(
-                f=float(rec[0]),
-                trial=int(rec[1]),
-                seed=int(rec[2]),
-                n_qubits=int(rec[3]),
-                sifted_count=int(rec[4]),
-                compared_n=int(rec[5]),
-                errors_k=int(rec[6]),
-                qber=float(rec[7]),
-            )
-        )
-    return rows
+    if header != [name for name, _ in cols]:
+        raise ValueError(f"unexpected {row_type.__name__} CSV header: {header}")
+    return [row_type(*(kind(cell) for (_, kind), cell in zip(cols, rec))) for rec in reader]
+
+
+def format_json(schema: str, row_type: type, rows: Sequence) -> str:
+    """JSON with the CSV's columns; floats are rounded to the CSV's 6 decimals."""
+    names = [name for name, _ in columns(row_type)]
+    payload = {
+        "schema": schema,
+        "columns": names,
+        "rows": [dict(zip(names, _cells(r, _JSON_VALUE))) for r in rows],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def format_trials_csv(rows: Sequence[TrialRow]) -> str:
+    return format_csv(TrialRow, rows)
 
 
 def format_aggregate_csv(rows: Sequence[AggregateRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(AGGREGATE_CSV_HEADER.split(","))
-    for r in rows:
-        writer.writerow(
-            [
-                _fmt(r.f),
-                r.trials,
-                _fmt(r.mean_qber),
-                _fmt(r.std_dev),
-                _fmt(r.ci_low),
-                _fmt(r.ci_high),
-                _fmt(r.theory),
-            ]
-        )
-    return buf.getvalue()
-
-
-def parse_aggregate_csv(text: str) -> list[AggregateRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != AGGREGATE_CSV_HEADER.split(","):
-        raise ValueError(f"unexpected aggregate CSV header: {header}")
-    rows = []
-    for rec in reader:
-        rows.append(
-            AggregateRow(
-                f=float(rec[0]),
-                trials=int(rec[1]),
-                mean_qber=float(rec[2]),
-                std_dev=float(rec[3]),
-                ci_low=float(rec[4]),
-                ci_high=float(rec[5]),
-                theory=float(rec[6]),
-            )
-        )
-    return rows
-
-
-def _round6(x: float) -> float:
-    return round(x, 6)
+    return format_csv(AggregateRow, rows)
 
 
 def format_trials_json(rows: Sequence[TrialRow]) -> str:
-    payload = {
-        "schema": "trials",
-        "columns": TRIAL_CSV_HEADER.split(","),
-        "rows": [
-            {
-                "f": _round6(r.f),
-                "trial": r.trial,
-                "seed": r.seed,
-                "n_qubits": r.n_qubits,
-                "sifted_count": r.sifted_count,
-                "compared_n": r.compared_n,
-                "errors_k": r.errors_k,
-                "qber": _round6(r.qber),
-            }
-            for r in rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return format_json("trials", TrialRow, rows)
 
 
 def format_aggregate_json(rows: Sequence[AggregateRow]) -> str:
-    payload = {
-        "schema": "aggregate",
-        "columns": AGGREGATE_CSV_HEADER.split(","),
-        "rows": [
-            {
-                "f": _round6(r.f),
-                "trials": r.trials,
-                "mean_qber": _round6(r.mean_qber),
-                "std_dev": _round6(r.std_dev),
-                "ci_low": _round6(r.ci_low),
-                "ci_high": _round6(r.ci_high),
-                "theory": _round6(r.theory),
-            }
-            for r in rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return format_json("aggregate", AggregateRow, rows)
+
+
+TRIAL_CSV_HEADER = ",".join(name for name, _ in columns(TrialRow))
+AGGREGATE_CSV_HEADER = ",".join(name for name, _ in columns(AggregateRow))
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +271,9 @@ def _f_grid(start: float, end: float, step: float) -> tuple[float, ...]:
 def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    out_dir = os.path.dirname(args.out)
+    if out_dir and not os.path.isdir(out_dir):
+        raise ValueError(f"--out directory {out_dir!r} does not exist")
     return SweepConfig(
         f_values=_f_grid(args.f_start, args.f_end, args.f_step),
         trials_per_f=args.trials,
@@ -363,14 +303,12 @@ def cmd_sweep(args: argparse.Namespace, config: SweepConfig) -> int:
     with open(aggregate_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(aggregate_text)
 
-    widths = (8, 6, 9, 8, 8, 8, 8)
-    names = AGGREGATE_CSV_HEADER.split(",")
-    print("  ".join(n.rjust(w) for n, w in zip(names, widths)))
-    for r in agg:
-        cells = (
-            _fmt(r.f), str(r.trials), _fmt(r.mean_qber), _fmt(r.std_dev),
-            _fmt(r.ci_low), _fmt(r.ci_high), _fmt(r.theory),
-        )
+    # a float column is as wide as a 6-decimal value in [0, 1], an int
+    # column as wide as its name
+    names = [name for name, _ in columns(AggregateRow)]
+    widths = [max(len(name), 8 if kind is float else 0)
+              for name, kind in columns(AggregateRow)]
+    for cells in (names, *(_cells(r, _CSV_CELL) for r in agg)):
         print("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
     print(f"wrote {trials_path}", file=sys.stderr)
     print(f"wrote {aggregate_path}", file=sys.stderr)

@@ -73,7 +73,10 @@ class SweepConfig:
 
 @dataclass(frozen=True, slots=True)
 class TrialRow:
-    """One trial's bookkeeping, sufficient to recompute every aggregate."""
+    """One trial's bookkeeping, sufficient to recompute every aggregate.
+
+    Its fields, in order, are the columns of the sweep's per-trial file.
+    """
 
     f: float
     trial: int

@@ -11,7 +11,10 @@ import importlib
 import importlib.util
 import io
 import json
+from collections import Counter
 from pathlib import Path
+
+from bb84sim import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,3 +42,26 @@ def test_allocation_probe_snippet_runs(monkeypatch):
         exec(snippet, namespace)
     assert namespace["config"].seed == 42
     assert set(json.loads(out.getvalue())) == {"peak_alloc_bytes", "ledger_bytes"}
+
+
+def test_sweep_writes_through_the_traced_format_names(monkeypatch, tmp_path, capsys):
+    # cli.format_s sums the spans of these four names; a sweep that bypassed
+    # them would read 0 there
+    calls = Counter()
+    names = ("format_trials_csv", "format_aggregate_csv",
+             "format_trials_json", "format_aggregate_json")
+    for name in names:
+        original = getattr(cli, name)
+
+        def counted(rows, name=name, original=original):
+            calls[name] += 1
+            return original(rows)
+
+        monkeypatch.setattr(cli, name, counted)
+    monkeypatch.chdir(tmp_path)
+    for fmt in ("csv", "json"):
+        argv = ["sweep", "--f-step", "0.5", "--trials", "2", "--qubits", "200",
+                "--format", fmt]
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls == Counter(names)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -5,15 +6,20 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bb84sim.cli import (
-    AGGREGATE_CSV_HEADER,
-    TRIAL_CSV_HEADER,
+    AggregateRow,
     _f_grid,
+    columns,
     format_aggregate_csv,
     format_trials_csv,
     main,
-    parse_aggregate_csv,
-    parse_trials_csv,
+    parse_csv,
 )
+from bb84sim.harness import TrialRow
+
+# written out here, not taken from the package, so a reordered or renamed
+# field fails a test
+TRIAL_HEADER = "f,trial,seed,n_qubits,sifted_count,compared_n,errors_k,qber"
+AGGREGATE_HEADER = "f,trials,mean_qber,std_dev,ci_low,ci_high,theory"
 
 SWEEP_FLAGS = [
     "sweep", "--f-step", "0.5", "--trials", "3", "--qubits", "400",
@@ -72,6 +78,7 @@ def test_usage_errors_exit_1(monkeypatch, tmp_path, capsys):
         ["sweep", "--f-step", "-0.1"],
         ["sweep", "--sample-fraction", "1.5"],
         ["sweep", "--ci", "wald"],
+        ["sweep", "--out", "missing/x"],
         ["trial", "--eve-fraction", "2.0"],
         ["trial", "--confidence", "1.5"],
         ["trial", "--ci", "wald", "--confidence", "0"],
@@ -247,8 +254,8 @@ def test_sweep_writes_csv_with_exact_headers(monkeypatch, tmp_path, capsys):
     assert code == 0
     trials_text = (tmp_path / "sweep_trials.csv").read_text()
     aggregate_text = (tmp_path / "sweep_aggregate.csv").read_text()
-    assert trials_text.splitlines()[0] == TRIAL_CSV_HEADER
-    assert aggregate_text.splitlines()[0] == AGGREGATE_CSV_HEADER
+    assert trials_text.splitlines()[0] == TRIAL_HEADER
+    assert aggregate_text.splitlines()[0] == AGGREGATE_HEADER
     assert len(trials_text.splitlines()) == 1 + 3 * 3
     assert len(aggregate_text.splitlines()) == 1 + 3
 
@@ -256,8 +263,8 @@ def test_sweep_writes_csv_with_exact_headers(monkeypatch, tmp_path, capsys):
 def test_sweep_stdout_table_matches_aggregate_file(monkeypatch, tmp_path, capsys):
     _, out, err = run_cli(SWEEP_FLAGS, monkeypatch, tmp_path, capsys)
     lines = out.strip().splitlines()
-    assert lines[0].split() == AGGREGATE_CSV_HEADER.split(",")
-    rows = parse_aggregate_csv((tmp_path / "sweep_aggregate.csv").read_text())
+    assert lines[0].split() == AGGREGATE_HEADER.split(",")
+    rows = parse_csv(AggregateRow, (tmp_path / "sweep_aggregate.csv").read_text())
     assert len(lines) == 1 + len(rows)
     for line, row in zip(lines[1:], rows):
         cells = line.split()
@@ -268,12 +275,46 @@ def test_sweep_stdout_table_matches_aggregate_file(monkeypatch, tmp_path, capsys
     assert "wrote sweep_trials.csv" in err
 
 
+# sha256 of each file and of stdout, per run; pinned so that no change to
+# the serializers can move an output byte unnoticed
+SWEEP_GOLDEN = {
+    "csv": (
+        ["sweep", "--f-step", "0.25", "--trials", "3", "--qubits", "2000"],
+        {
+            "sweep_trials.csv": "5d9b6e07d47ad64b8946b0f4b8c3f935c08d6f468c15b16fba8d0da7985bdc1e",
+            "sweep_aggregate.csv": "370514cb28a93e90f97fcdfd8edf800e8e32b691feee4369170bd5c978e95488",
+            "stdout": "a2f2104e2872ef75d3f59c647b5c20258e1e911fb07d8561a53e740160f4b87c",
+        },
+    ),
+    "json": (
+        ["sweep", "--f-step", "0.25", "--trials", "3", "--qubits", "2000",
+         "--depolarizing-p", "0.05", "--format", "json"],
+        {
+            "sweep_trials.json": "1b92417b4f0daf8e014bbd15dfdc8e5f30aebf22dc4644d318bc1e27a20dd6ca",
+            "sweep_aggregate.json": "bf67388899aa89d48f99203b6c4db6e1aa63527ccc07ec592061db709d3e90db",
+            "stdout": "9a63c6a653ed0caefff84dcc7fb525151b492624b0b7118bb1247b84cf6cde26",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(SWEEP_GOLDEN))
+def test_sweep_output_bytes_are_golden(run, monkeypatch, tmp_path, capsys):
+    argv, golden = SWEEP_GOLDEN[run]
+    code, out, _ = run_cli(argv, monkeypatch, tmp_path, capsys)
+    assert code == 0
+    digests = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+    for name in golden.keys() - {"stdout"}:
+        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digests == golden
+
+
 def test_sweep_csv_round_trips_byte_identical(monkeypatch, tmp_path, capsys):
     run_cli(SWEEP_FLAGS + ["--out", "rt"], monkeypatch, tmp_path, capsys)
     trials_text = (tmp_path / "rt_trials.csv").read_text()
     aggregate_text = (tmp_path / "rt_aggregate.csv").read_text()
-    assert format_trials_csv(parse_trials_csv(trials_text)) == trials_text
-    assert format_aggregate_csv(parse_aggregate_csv(aggregate_text)) == aggregate_text
+    assert format_trials_csv(parse_csv(TrialRow, trials_text)) == trials_text
+    assert format_aggregate_csv(parse_csv(AggregateRow, aggregate_text)) == aggregate_text
 
 
 def test_sweep_repeat_runs_are_byte_identical(monkeypatch, tmp_path, capsys):
@@ -294,33 +335,26 @@ def test_sweep_json_matches_csv_numerically(monkeypatch, tmp_path, capsys):
     run_cli(SWEEP_FLAGS + ["--out", "x"], monkeypatch, tmp_path, capsys)
     run_cli(SWEEP_FLAGS + ["--out", "x", "--format", "json"], monkeypatch, tmp_path, capsys)
 
-    csv_rows = parse_trials_csv((tmp_path / "x_trials.csv").read_text())
-    json_doc = json.loads((tmp_path / "x_trials.json").read_text())
-    assert json_doc["schema"] == "trials"
-    assert json_doc["columns"] == TRIAL_CSV_HEADER.split(",")
-    assert len(json_doc["rows"]) == len(csv_rows)
-    for jrow, crow in zip(json_doc["rows"], csv_rows):
-        assert abs(jrow["f"] - crow.f) < 1e-12
-        assert jrow["trial"] == crow.trial
-        assert jrow["seed"] == crow.seed
-        assert jrow["n_qubits"] == crow.n_qubits
-        assert jrow["sifted_count"] == crow.sifted_count
-        assert jrow["compared_n"] == crow.compared_n
-        assert jrow["errors_k"] == crow.errors_k
-        assert abs(jrow["qber"] - crow.qber) < 1e-12
-
-    csv_agg = parse_aggregate_csv((tmp_path / "x_aggregate.csv").read_text())
-    json_agg = json.loads((tmp_path / "x_aggregate.json").read_text())
-    assert json_agg["schema"] == "aggregate"
-    for jrow, crow in zip(json_agg["rows"], csv_agg):
-        for field in ("f", "mean_qber", "std_dev", "ci_low", "ci_high", "theory"):
-            assert abs(jrow[field] - getattr(crow, field)) < 1e-12
-        assert jrow["trials"] == crow.trials
+    for schema, row_type, header in (
+        ("trials", TrialRow, TRIAL_HEADER),
+        ("aggregate", AggregateRow, AGGREGATE_HEADER),
+    ):
+        csv_rows = parse_csv(row_type, (tmp_path / f"x_{schema}.csv").read_text())
+        json_doc = json.loads((tmp_path / f"x_{schema}.json").read_text())
+        assert json_doc["schema"] == schema
+        assert json_doc["columns"] == header.split(",")
+        assert len(json_doc["rows"]) == len(csv_rows)
+        for jrow, crow in zip(json_doc["rows"], csv_rows):
+            assert list(jrow) == json_doc["columns"]
+            for name, kind in columns(row_type):
+                # round(x, 6) == float(f"{x:.6f}"), so the formats agree exactly
+                assert type(jrow[name]) is kind
+                assert jrow[name] == getattr(crow, name)
 
 
 def test_sweep_f_step_produces_expected_rows(monkeypatch, tmp_path, capsys):
     _, out, _ = run_cli(SWEEP_FLAGS, monkeypatch, tmp_path, capsys)
-    rows = parse_aggregate_csv((tmp_path / "sweep_aggregate.csv").read_text())
+    rows = parse_csv(AggregateRow, (tmp_path / "sweep_aggregate.csv").read_text())
     assert [r.f for r in rows] == [0.0, 0.5, 1.0]
 
 
@@ -328,7 +362,7 @@ def test_sweep_trials_csv_seeds_are_reproducible(monkeypatch, tmp_path, capsys):
     from bb84sim.harness import derive_trial_seed
 
     run_cli(SWEEP_FLAGS, monkeypatch, tmp_path, capsys)
-    rows = parse_trials_csv((tmp_path / "sweep_trials.csv").read_text())
+    rows = parse_csv(TrialRow, (tmp_path / "sweep_trials.csv").read_text())
     f_index = {0.0: 0, 0.5: 1, 1.0: 2}
     for row in rows:
         assert row.seed == derive_trial_seed(42, f_index[row.f], row.trial)
