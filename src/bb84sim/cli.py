@@ -27,8 +27,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass, fields
-from functools import cache
-from typing import Optional, Sequence, get_type_hints
+from functools import cache, partial
+from operator import attrgetter
+from typing import Callable, Optional, Sequence, get_type_hints
 
 from .core import CIMethod, QberEstimate, check_confidence, check_probability
 from .decision import DecisionPolicy, decide, key_rate, threshold_root
@@ -86,9 +87,9 @@ def aggregate_rows(result: SweepResult) -> list[AggregateRow]:
 
 
 # Each output file is described by its row dataclass: the fields, in order,
-# are the columns, and a field's type picks how its values are written.
-_CSV_CELL = {float: _fmt, int: str}
-_JSON_VALUE = {float: lambda x: round(x, 6), int: int}
+# are the columns. A float column is written through a float format (6-decimal
+# text in CSV, rounded to 6 decimals in JSON); an int column as it is.
+_JSON_FLOAT = partial(round, ndigits=6)
 
 
 @cache
@@ -98,8 +99,24 @@ def columns(row_type: type) -> tuple[tuple[str, type], ...]:
     return tuple((field.name, hints[field.name]) for field in fields(row_type))
 
 
-def _cells(row: object, formatters: dict) -> list:
-    return [formatters[kind](getattr(row, name)) for name, kind in columns(type(row))]
+@cache
+def _cell_function(row_type: type, float_format: Callable) -> Callable[[object], list]:
+    """The function from a row to its cells, float columns through float_format.
+
+    It is built once per (row type, format), so a row costs one attribute
+    fetch and one call per float column.
+    """
+    cols = columns(row_type)
+    values = attrgetter(*(name for name, _ in cols))
+    float_at = [i for i, (_, kind) in enumerate(cols) if kind is float]
+
+    def cells(row: object) -> list:
+        out = list(values(row))
+        for i in float_at:
+            out[i] = float_format(out[i])
+        return out
+
+    return cells
 
 
 def format_csv(row_type: type, rows: Sequence) -> str:
@@ -107,7 +124,7 @@ def format_csv(row_type: type, rows: Sequence) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(name for name, _ in columns(row_type))
-    writer.writerows(_cells(r, _CSV_CELL) for r in rows)
+    writer.writerows(map(_cell_function(row_type, _fmt), rows))
     return buf.getvalue()
 
 
@@ -124,10 +141,11 @@ def parse_csv(row_type: type, text: str) -> list:
 def format_json(schema: str, row_type: type, rows: Sequence) -> str:
     """JSON with the CSV's columns; floats are rounded to the CSV's 6 decimals."""
     names = [name for name, _ in columns(row_type)]
+    cells = _cell_function(row_type, _JSON_FLOAT)
     payload = {
         "schema": schema,
         "columns": names,
-        "rows": [dict(zip(names, _cells(r, _JSON_VALUE))) for r in rows],
+        "rows": [dict(zip(names, cells(r))) for r in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -146,10 +164,6 @@ def format_trials_json(rows: Sequence[TrialRow]) -> str:
 
 def format_aggregate_json(rows: Sequence[AggregateRow]) -> str:
     return format_json("aggregate", AggregateRow, rows)
-
-
-TRIAL_CSV_HEADER = ",".join(name for name, _ in columns(TrialRow))
-AGGREGATE_CSV_HEADER = ",".join(name for name, _ in columns(AggregateRow))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +322,9 @@ def cmd_sweep(args: argparse.Namespace, config: SweepConfig) -> int:
     names = [name for name, _ in columns(AggregateRow)]
     widths = [max(len(name), 8 if kind is float else 0)
               for name, kind in columns(AggregateRow)]
-    for cells in (names, *(_cells(r, _CSV_CELL) for r in agg)):
-        print("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
+    cells = _cell_function(AggregateRow, _fmt)
+    for line in (names, *map(cells, agg)):
+        print("  ".join(str(c).rjust(w) for c, w in zip(line, widths)))
     print(f"wrote {trials_path}", file=sys.stderr)
     print(f"wrote {aggregate_path}", file=sys.stderr)
     return EXIT_OK
