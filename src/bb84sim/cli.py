@@ -43,6 +43,11 @@ EXIT_RUNTIME = 2
 
 SEED_ENV_VAR = "BB84SIM_SEED"
 
+# Peak allocation of one run_session per qubit. tracemalloc reads 25.0 B at
+# the default sample fraction and 27.1 B as it nears 1 (the sample indices
+# are int64), for sessions of 10^5 qubits and more.
+SESSION_BYTES_PER_QUBIT = 28
+
 _CI_CHOICES = tuple(m.value for m in CIMethod)
 _POLICY_CHOICES = tuple(p.value for p in DecisionPolicy)
 
@@ -277,6 +282,27 @@ def _f_grid(start: float, end: float, step: float) -> tuple[float, ...]:
     return (start,) + tuple(float(first + i * delta) for i in range(1, count))
 
 
+def _physical_memory() -> Optional[int]:
+    """Total physical memory in bytes, or None where sysconf cannot tell."""
+    names = getattr(os, "sysconf_names", {})
+    if "SC_PAGE_SIZE" not in names or "SC_PHYS_PAGES" not in names:
+        return None
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(n_qubits: int, sessions: int) -> None:
+    """Raise ValueError when `sessions` concurrent sessions of n_qubits each
+    would need more than the host's physical memory."""
+    need = n_qubits * SESSION_BYTES_PER_QUBIT * sessions
+    limit = _physical_memory()
+    if limit is not None and 0 < limit < need:
+        raise ValueError(
+            f"--qubits {n_qubits} needs about {need} bytes "
+            f"({SESSION_BYTES_PER_QUBIT} B per qubit, {sessions} session(s) at once), "
+            f"more than the {limit} bytes of physical memory on this host"
+        )
+
+
 # Each subcommand has an inputs function, which turns the parsed flags into
 # validated values and raises ValueError on a usage error, and a command
 # function, which runs on those values; main maps the two to exit 1 and 2.
@@ -288,7 +314,7 @@ def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
     out_dir = os.path.dirname(args.out)
     if out_dir and not os.path.isdir(out_dir):
         raise ValueError(f"--out directory {out_dir!r} does not exist")
-    return SweepConfig(
+    config = SweepConfig(
         f_values=_f_grid(args.f_start, args.f_end, args.f_step),
         trials_per_f=args.trials,
         n_qubits=args.qubits,
@@ -297,6 +323,8 @@ def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
         master_seed=_resolve_seed(args.seed),
         confidence=args.confidence,
     )
+    _check_memory(config.n_qubits, args.workers)
+    return config
 
 
 def cmd_sweep(args: argparse.Namespace, config: SweepConfig) -> int:
@@ -332,13 +360,15 @@ def cmd_sweep(args: argparse.Namespace, config: SweepConfig) -> int:
 
 def _trial_inputs(args: argparse.Namespace) -> SessionConfig:
     check_confidence(args.confidence)
-    return SessionConfig(
+    config = SessionConfig(
         n_qubits=args.qubits,
         eve=EveStrategy.intercept_resend(args.eve_fraction),
         channel=ChannelModel.depolarizing(args.depolarizing_p),
         sample_fraction=args.sample_fraction,
         seed=_resolve_seed(args.seed),
     )
+    _check_memory(config.n_qubits, 1)
+    return config
 
 
 def cmd_trial(args: argparse.Namespace, config: SessionConfig) -> int:

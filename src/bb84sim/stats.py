@@ -18,6 +18,11 @@ accuracy/robustness trade-offs for a binomial proportion:
 All functions are pure. The standard-normal quantile is computed locally
 (Wichura's algorithm AS 241) rather than taken from a table or an external
 dependency, so every number the library emits is reproducible from this file.
+
+Only Clopper-Pearson needs scipy, for the binomial tails `bdtr` and `bdtrc`.
+Importing `scipy.special` takes about 0.3 s, so it happens on the first
+Clopper-Pearson call or the first access to `stats.bdtr`/`stats.bdtrc`, not
+when this module is imported.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-from scipy.special import bdtr, bdtrc
 
 from .core import (
     CIMethod, ConfidenceInterval, QberEstimate,
@@ -159,15 +162,37 @@ def _bisect_binomial(
     return 0.5 * (lo + hi)
 
 
+def _bind_tails() -> None:
+    """Import scipy's binomial tails into this module's globals, keeping any
+    binding already there (a counting wrapper set with setattr)."""
+    from scipy.special import bdtr, bdtrc
+
+    namespace = globals()
+    namespace.setdefault("bdtr", bdtr)
+    namespace.setdefault("bdtrc", bdtrc)
+
+
+def __getattr__(name: str):
+    # PEP 562: reached only while a tail is not yet bound.
+    if name in ("bdtr", "bdtrc"):
+        _bind_tails()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     """Exact (Clopper-Pearson) interval by inverting the binomial tails.
 
     lower is the p at which P[Bin(n, p) >= k] = alpha/2 (0 when k = 0) and
     upper the p at which P[Bin(n, p) <= k] = alpha/2 (1 when k = n). Both are
     found by bisection to an absolute tolerance of 1e-9; the binomial tails
-    come from scipy's bdtr/bdtrc.
+    come from scipy's bdtr/bdtrc, imported on the first call. Each evaluation
+    looks them up as this module's globals, so a wrapper set on `stats.bdtr`
+    or `stats.bdtrc` sees every call.
     """
     check_confidence(confidence)
+    if "bdtr" not in globals() or "bdtrc" not in globals():
+        _bind_tails()
     alpha = 1.0 - confidence
     k, n = est.errors_k, est.compared_n
     if k == 0:

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from bb84sim import cli
 from bb84sim.cli import (
     AggregateRow,
     _f_grid,
@@ -15,6 +17,7 @@ from bb84sim.cli import (
     parse_csv,
 )
 from bb84sim.harness import TrialRow
+from bb84sim.protocol import ChannelModel, EveStrategy, SessionConfig, run_session
 
 # written out here, not taken from the package, so a reordered or renamed
 # field fails a test
@@ -91,6 +94,54 @@ def test_usage_errors_exit_1(monkeypatch, tmp_path, capsys):
         code, _, err = run_cli(argv, monkeypatch, tmp_path, capsys)
         assert code == 1, argv
         assert err.strip(), argv
+
+
+@pytest.mark.parametrize("sample_fraction", [0.5, 0.999])
+def test_memory_estimate_covers_a_session_peak(sample_fraction):
+    n = 10**5
+    config = SessionConfig(n, EveStrategy.intercept_resend(0.5),
+                           ChannelModel.depolarizing(0.1), sample_fraction, seed=3)
+    run_session(config)  # numpy imports its random module on first use
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_session(config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * cli.SESSION_BYTES_PER_QUBIT
+
+
+def _no_session(*args, **kwargs):
+    raise AssertionError("a session ran")
+
+
+@pytest.mark.parametrize("argv, need", [
+    (["trial", "--qubits", "1000"], 1000 * cli.SESSION_BYTES_PER_QUBIT),
+    (["sweep", "--qubits", "1000", "--workers", "3"], 3 * 1000 * cli.SESSION_BYTES_PER_QUBIT),
+])
+def test_session_too_large_for_the_host_is_a_usage_error(
+        argv, need, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 20_000)
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    monkeypatch.setattr(cli, "run_sweep", _no_session)
+    code, out, err = run_cli(argv, monkeypatch, tmp_path, capsys)
+    assert code == 1
+    assert out == ""
+    assert f"needs about {need} bytes" in err and "20000 bytes" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_memory_check_reads_this_hosts_memory(monkeypatch, tmp_path, capsys):
+    # 10^15 qubits is far beyond any host; the check rejects it before
+    # run_session could try to allocate
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    if cli._physical_memory() is None:
+        pytest.skip("sysconf does not report physical memory here")
+    code, _, err = run_cli(["trial", "--qubits", str(10**15)], monkeypatch, tmp_path, capsys)
+    assert code == 1
+    assert "physical memory" in err
 
 
 def test_runtime_errors_exit_2(monkeypatch, tmp_path, capsys):

@@ -3,7 +3,10 @@
 Every qubit of a vectorized session must obey the scalar rules: a
 matched-basis read returns the encoded bit, and the channel's flip is the
 only change between the state that was sent on and the bit that arrives.
+The sift and sample counts must agree with the ledger for any config.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, reject, settings, strategies as st
@@ -53,3 +56,30 @@ def test_ledger_obeys_per_qubit_rules(n, f, p, seed, sample_fraction):
     assert not np.any(led.sampled & ~led.sifted)
     errors = int(np.count_nonzero(led.sampled & (led.alice_bits != led.bob_bits)))
     assert errors == result.estimate.errors_k
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(2, 2000),
+    f=unit,
+    p=unit,
+    seed=st.integers(0, 2**64 - 1),
+    sample_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_sample_bookkeeping_matches_the_ledger(n, f, p, seed, sample_fraction):
+    config = SessionConfig(
+        n, EveStrategy.intercept_resend(f), ChannelModel.depolarizing(p),
+        sample_fraction=sample_fraction, seed=seed,
+    )
+    try:
+        result = run_session(config)
+    except EmptySampleError:
+        reject()
+    led = result.records
+    compared_n = result.estimate.compared_n
+
+    assert compared_n + result.raw_key_bits == result.sifted_count
+    assert compared_n == math.floor(sample_fraction * result.sifted_count)
+    assert np.count_nonzero(led.sampled) == compared_n
+    assert not np.any(led.sampled & ~led.sifted)
+    assert result.estimate.errors_k <= compared_n

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from bb84sim import stats
 from bb84sim.core import CIMethod, QberEstimate
 from bb84sim.stats import (
     aggregate_trials,
@@ -196,6 +198,25 @@ def test_clopper_pearson_matches_scratch_oracle():
         assert ours.upper == pytest.approx(hi, abs=5e-9), k
 
 
+def test_clopper_pearson_reads_the_tails_through_the_module(monkeypatch):
+    # The benchmark counts tail evaluations by wrapping stats.bdtr/bdtrc;
+    # tails bound to local names would leave that count at 0.
+    for name in ("bdtr", "bdtrc"):
+        monkeypatch.delitem(vars(stats), name, raising=False)  # as if never used
+    calls = Counter()
+    for name in ("bdtr", "bdtrc"):
+        tail = getattr(stats, name)
+
+        def counted(*args, name=name, tail=tail):
+            calls[name] += 1
+            return tail(*args)
+
+        monkeypatch.setattr(stats, name, counted)
+    ci_clopper_pearson(QberEstimate(3, 100), 0.95)
+    # each bisection halves [0, 1] until it is below 1e-9: 2**-30 < 1e-9
+    assert calls == {"bdtr": 30, "bdtrc": 30}
+
+
 def test_clopper_pearson_exact_coverage_is_at_least_nominal():
     """Coverage computed exactly (pmf-weighted), not by simulation."""
     for n, p in ((15, 0.3), (40, 0.1)):
@@ -295,6 +316,18 @@ def test_wald_lies_inside_hoeffding(kn, confidence):
     wald = ci_wald(est, confidence)
     hoeffding = ci_hoeffding(est, confidence)
     assert hoeffding.lower <= wald.lower and wald.upper <= hoeffding.upper
+
+
+@settings(deadline=None)
+@given(counts, st.integers(2, 1000), levels)
+def test_scaling_k_and_n_up_never_widens_an_interval(kn, m, confidence):
+    k, n = kn
+    for method in CIMethod:
+        # Clopper-Pearson bounds come from bisections to 1e-9.
+        tol = 1e-9 if method is CIMethod.CLOPPER_PEARSON else 0.0
+        small = confidence_interval(QberEstimate(k, n), confidence, method)
+        large = confidence_interval(QberEstimate(m * k, m * n), confidence, method)
+        assert large.width <= small.width + tol, method
 
 
 def test_widths_shrink_with_n():
