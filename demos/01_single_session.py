@@ -1,4 +1,4 @@
-"""Walk through one BB84 session, record by record.
+"""Walk through one BB84 session, position by position.
 
 Alice sends random bits in random bases; Bob measures in his own random
 bases. Positions where the bases agree form the sifted key, half of which is
@@ -28,14 +28,16 @@ def main() -> None:
     )
     result = run_session(config)
 
+    led = result.records
+    basis = ("RECT", "DIAG")
     print("first ten transmissions:")
     print("  pos  alice bit/basis  bob bit/basis  sifted  sampled")
     for i in range(10):
-        r = result.records[i]
         print(
-            f"  {i:3d}      {r.alice_bit} / {r.alice_basis.name[:4]:4}"
-            f"      {r.bob_bit} / {r.bob_basis.name[:4]:4}"
-            f"    {'yes' if r.sifted else ' no'}     {'yes' if r.sampled else ' no'}"
+            f"  {i:3d}      {led.alice_bits[i]} / {basis[led.alice_bases[i]]}"
+            f"      {led.bob_bits[i]} / {basis[led.bob_bases[i]]}"
+            f"    {'yes' if led.sifted[i] else ' no'}"
+            f"     {'yes' if led.sampled[i] else ' no'}"
         )
 
     est = result.estimate

@@ -7,7 +7,7 @@ never under-covers, and the Hoeffding bound holds with no distributional
 assumptions at all, at the price of being the widest.
 """
 
-from bb84sim import CIMethod, confidence_interval, qber_point
+from bb84sim import CIMethod, QberEstimate, confidence_interval
 
 CASES = [
     (0, 100, "zero errors in a small sample"),
@@ -20,7 +20,7 @@ CASES = [
 
 def main() -> None:
     for k, n, label in CASES:
-        est = qber_point(k, n)
+        est = QberEstimate(k, n)
         print(f"k = {k}, n = {n}  ({label}); point = {est.point_estimate:.6f}")
         for method in CIMethod:
             ci = confidence_interval(est, 0.95, method)

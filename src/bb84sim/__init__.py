@@ -4,13 +4,11 @@ key-rate based security decision, plus seeded Monte Carlo runners.
 """
 
 from .core import (
-    Basis,
     CIMethod,
     ConfidenceInterval,
     Decision,
     QberEstimate,
     SecurityVerdict,
-    TransmissionRecord,
 )
 from .decision import (
     DecisionPolicy,
@@ -51,13 +49,11 @@ from .stats import (
     confidence_interval,
     hoeffding_half_width,
     normal_quantile,
-    qber_point,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis",
     "CIMethod",
     "ChannelModel",
     "ConfidenceInterval",
@@ -76,7 +72,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "TransmissionLedger",
-    "TransmissionRecord",
     "TrialAggregate",
     "TrialRow",
     "aggregate_trials",
@@ -91,7 +86,6 @@ __all__ = [
     "hoeffding_half_width",
     "key_rate",
     "normal_quantile",
-    "qber_point",
     "run_finite_size_study",
     "run_histogram",
     "run_session",

@@ -1,22 +1,14 @@
-"""Shared domain types: bases, per-qubit records, estimates, and the bound
-checks on the quantities they share.
+"""Shared domain types: interval methods, decisions, estimates, intervals and
+verdicts, and the bound checks on the quantities they share.
 
 Everything here is an immutable value type. Instances validate themselves on
-construction, so any record or estimate that exists is internally consistent.
+construction, so any estimate that exists is internally consistent.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
-
-
-class Basis(enum.IntEnum):
-    """Preparation/measurement basis: rectilinear (+) or diagonal (x)."""
-
-    RECTILINEAR = 0
-    DIAGONAL = 1
 
 
 class CIMethod(enum.Enum):
@@ -35,11 +27,6 @@ class Decision(enum.Enum):
     ABORT = "abort"
 
 
-def _check_bit(value: int, name: str) -> None:
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-
-
 def check_probability(name: str, value: float) -> None:
     """Raise ValueError unless value lies in [0, 1]."""
     if not 0.0 <= value <= 1.0:
@@ -56,41 +43,6 @@ def check_compared_n(compared_n: int) -> None:
     """Raise ValueError unless at least one bit was compared."""
     if compared_n < 1:
         raise ValueError(f"compared_n must be positive, got {compared_n}")
-
-
-@dataclass(frozen=True, slots=True)
-class TransmissionRecord:
-    """Full per-qubit ledger entry for one position in a session.
-
-    The simulator is an omniscient referee: the record keeps Eve's internal
-    state (her basis and measured bit) even though a real adversary would
-    hide it, which lets tests check the error mechanism exactly.
-    """
-
-    alice_bit: int
-    alice_basis: Basis
-    eve_intercepted: bool
-    eve_basis: Optional[Basis]
-    eve_bit: Optional[int]
-    channel_flipped: bool
-    bob_basis: Basis
-    bob_bit: int
-    sifted: bool
-    sampled: bool
-
-    def __post_init__(self) -> None:
-        _check_bit(self.alice_bit, "alice_bit")
-        _check_bit(self.bob_bit, "bob_bit")
-        if self.eve_intercepted:
-            if self.eve_basis is None or self.eve_bit is None:
-                raise ValueError("intercepted record must carry eve_basis and eve_bit")
-            _check_bit(self.eve_bit, "eve_bit")
-        elif self.eve_basis is not None or self.eve_bit is not None:
-            raise ValueError("non-intercepted record must not carry Eve fields")
-        if self.sifted != (self.alice_basis == self.bob_basis):
-            raise ValueError("sifted flag must equal (alice_basis == bob_basis)")
-        if self.sampled and not self.sifted:
-            raise ValueError("only sifted positions can be sampled")
 
 
 @dataclass(frozen=True, slots=True)

@@ -103,41 +103,6 @@ class SweepResult:
     per_trial_rows: tuple[TrialRow, ...]
 
 
-def _run_trial(
-    f: float,
-    f_index: int,
-    trial_index: int,
-    *,
-    n_qubits: int,
-    sample_fraction: float,
-    channel: ChannelModel,
-    master_seed: int,
-) -> TrialRow:
-    seed = derive_trial_seed(master_seed, f_index, trial_index)
-    config = SessionConfig(
-        n_qubits=n_qubits,
-        eve=EveStrategy.intercept_resend(f),
-        channel=channel,
-        sample_fraction=sample_fraction,
-        seed=seed,
-    )
-    try:
-        result = run_session(config)
-    except Exception as exc:
-        raise RuntimeError(f"trial failed at f={f}, trial={trial_index}: {exc}") from exc
-    est = result.estimate
-    return TrialRow(
-        f=f,
-        trial=trial_index,
-        seed=seed,
-        n_qubits=n_qubits,
-        sifted_count=result.sifted_count,
-        compared_n=est.compared_n,
-        errors_k=est.errors_k,
-        qber=est.point_estimate,
-    )
-
-
 def _run_point_trials(
     f: float,
     f_index: int,
@@ -150,10 +115,28 @@ def _run_point_trials(
     workers: int = 1,
 ) -> list[TrialRow]:
     def job(t: int) -> TrialRow:
-        return _run_trial(
-            f, f_index, t,
-            n_qubits=n_qubits, sample_fraction=sample_fraction,
-            channel=channel, master_seed=master_seed,
+        seed = derive_trial_seed(master_seed, f_index, t)
+        config = SessionConfig(
+            n_qubits=n_qubits,
+            eve=EveStrategy.intercept_resend(f),
+            channel=channel,
+            sample_fraction=sample_fraction,
+            seed=seed,
+        )
+        try:
+            result = run_session(config)
+        except Exception as exc:
+            raise RuntimeError(f"trial failed at f={f}, trial={t}: {exc}") from exc
+        est = result.estimate
+        return TrialRow(
+            f=f,
+            trial=t,
+            seed=seed,
+            n_qubits=n_qubits,
+            sifted_count=result.sifted_count,
+            compared_n=est.compared_n,
+            errors_k=est.errors_k,
+            qber=est.point_estimate,
         )
 
     if workers > 1:

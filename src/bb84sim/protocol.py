@@ -17,12 +17,11 @@ physics; tests check its ledger against the per-qubit rules.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Basis, QberEstimate, TransmissionRecord, check_probability
+from .core import QberEstimate, check_probability
 
 
 class EmptySampleError(RuntimeError):
@@ -107,13 +106,10 @@ class SessionConfig:
         check_session_params(self.n_qubits, self.sample_fraction, self.seed)
 
 
-class TransmissionLedger(Sequence):
-    """Per-qubit ledger of a whole session, stored column-wise.
-
-    Indexing materializes a validated `TransmissionRecord`; the underlying
-    numpy columns are exposed for vectorized auditing. Entries of `eve_bases`
-    and `eve_bits` are only meaningful where `eve_intercepted` is set (the
-    record view returns None elsewhere).
+class TransmissionLedger:
+    """Per-qubit ledger of a whole session, stored as equal-length numpy
+    columns for vectorized auditing. Entries of `eve_bases` and `eve_bits`
+    are only meaningful where `eve_intercepted` is set.
     """
 
     __slots__ = (
@@ -154,28 +150,6 @@ class TransmissionLedger(Sequence):
 
     def __len__(self) -> int:
         return len(self.alice_bits)
-
-    def __getitem__(self, index: int) -> TransmissionRecord:
-        if isinstance(index, slice):
-            raise TypeError("ledger does not support slicing; index positions")
-        i = int(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(index)
-        intercepted = bool(self.eve_intercepted[i])
-        return TransmissionRecord(
-            alice_bit=int(self.alice_bits[i]),
-            alice_basis=Basis(int(self.alice_bases[i])),
-            eve_intercepted=intercepted,
-            eve_basis=Basis(int(self.eve_bases[i])) if intercepted else None,
-            eve_bit=int(self.eve_bits[i]) if intercepted else None,
-            channel_flipped=bool(self.channel_flipped[i]),
-            bob_basis=Basis(int(self.bob_bases[i])),
-            bob_bit=int(self.bob_bits[i]),
-            sifted=bool(self.sifted[i]),
-            sampled=bool(self.sampled[i]),
-        )
 
 
 @dataclass(frozen=True, slots=True)

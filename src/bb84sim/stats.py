@@ -1,5 +1,5 @@
-"""Error-rate point estimation, binomial confidence intervals, and
-cross-trial aggregation.
+"""Binomial confidence intervals for the error rate, and cross-trial
+aggregation.
 
 Four interval constructions are provided, spanning the usual
 accuracy/robustness trade-offs for a binomial proportion:
@@ -97,20 +97,12 @@ def _ppnd16(p: float) -> float:
 def normal_quantile(two_sided_level: float) -> float:
     """Two-sided standard-normal critical value z with P(|Z| <= z) = level.
 
-    normal_quantile(0.95) is the familiar 1.959964...
+    normal_quantile(0.95) is the familiar 1.959964... It is computed from
+    the tail (1 - level) / 2, which is exact in floating point for every
+    level of 1/2 and above; 0.5 + level / 2 would round near 1.
     """
     check_confidence(two_sided_level)
-    p = 0.5 + two_sided_level / 2.0
-    if p == 1.0:
-        # Only the largest level below 1 rounds up here; its lower tail
-        # (1 - level) / 2 is exact, and the quantile is symmetric.
-        return -_ppnd16((1.0 - two_sided_level) / 2.0)
-    return _ppnd16(p)
-
-
-def qber_point(errors_k: int, compared_n: int) -> QberEstimate:
-    """Build the point estimate k/n from an error count over compared bits."""
-    return QberEstimate(errors_k, compared_n)
+    return -_ppnd16((1.0 - two_sided_level) / 2.0)
 
 
 def ci_wald(est: QberEstimate, confidence: float) -> ConfidenceInterval:

@@ -1,21 +1,12 @@
 import pytest
 
 from bb84sim.core import (
-    Basis,
     CIMethod,
     ConfidenceInterval,
     Decision,
     QberEstimate,
     SecurityVerdict,
-    TransmissionRecord,
 )
-
-
-def test_basis_values():
-    assert Basis.RECTILINEAR == 0
-    assert Basis.DIAGONAL == 1
-    assert Basis(0) is Basis.RECTILINEAR
-    assert Basis(1) is Basis.DIAGONAL
 
 
 def test_ci_method_names():
@@ -23,72 +14,6 @@ def test_ci_method_names():
     assert CIMethod("wilson") is CIMethod.WILSON
     assert CIMethod("clopper-pearson") is CIMethod.CLOPPER_PEARSON
     assert CIMethod("hoeffding") is CIMethod.HOEFFDING
-
-
-def _record(**overrides):
-    """A valid non-intercepted, sifted, sampled record to mutate per test."""
-    base = dict(
-        alice_bit=0,
-        alice_basis=Basis.RECTILINEAR,
-        eve_intercepted=False,
-        eve_basis=None,
-        eve_bit=None,
-        channel_flipped=False,
-        bob_basis=Basis.RECTILINEAR,
-        bob_bit=0,
-        sifted=True,
-        sampled=True,
-    )
-    base.update(overrides)
-    return TransmissionRecord(**base)
-
-
-def test_record_valid_plain():
-    rec = _record()
-    assert rec.sifted and rec.sampled and not rec.eve_intercepted
-
-
-def test_record_valid_intercepted():
-    rec = _record(eve_intercepted=True, eve_basis=Basis.DIAGONAL, eve_bit=1)
-    assert rec.eve_basis is Basis.DIAGONAL
-    assert rec.eve_bit == 1
-
-
-def test_record_intercepted_requires_eve_fields():
-    with pytest.raises(ValueError):
-        _record(eve_intercepted=True)
-    with pytest.raises(ValueError):
-        _record(eve_intercepted=True, eve_basis=Basis.DIAGONAL, eve_bit=None)
-
-
-def test_record_untouched_forbids_eve_fields():
-    with pytest.raises(ValueError):
-        _record(eve_basis=Basis.DIAGONAL)
-    with pytest.raises(ValueError):
-        _record(eve_bit=0)
-
-
-def test_record_sifted_flag_must_match_bases():
-    with pytest.raises(ValueError):
-        _record(bob_basis=Basis.DIAGONAL, sifted=True, sampled=False)
-    with pytest.raises(ValueError):
-        _record(sifted=False, sampled=False)  # bases match but flag says no
-    ok = _record(bob_basis=Basis.DIAGONAL, sifted=False, sampled=False)
-    assert not ok.sifted
-
-
-def test_record_sampled_implies_sifted():
-    with pytest.raises(ValueError):
-        _record(bob_basis=Basis.DIAGONAL, sifted=False, sampled=True)
-
-
-def test_record_bit_validation():
-    with pytest.raises(ValueError):
-        _record(alice_bit=2)
-    with pytest.raises(ValueError):
-        _record(bob_bit=-1)
-    with pytest.raises(ValueError):
-        _record(eve_intercepted=True, eve_basis=Basis.RECTILINEAR, eve_bit=3)
 
 
 def test_qber_estimate_point():

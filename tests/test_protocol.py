@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from bb84sim.core import Basis, TransmissionRecord
 from bb84sim.protocol import (
     ChannelModel,
     EmptySampleError,
@@ -72,7 +71,7 @@ def test_session_config_validation():
 def test_prepare_covers_all_states():
     ledger = _session(n=200, seed=0).records
     seen = set(zip(ledger.alice_bits.tolist(), ledger.alice_bases.tolist()))
-    assert seen == {(b, basis) for b in (0, 1) for basis in Basis}
+    assert seen == {(b, basis) for b in (0, 1) for basis in (0, 1)}
 
 
 def test_measure_mismatched_basis_is_uniform():
@@ -128,15 +127,6 @@ def test_channel_partial_depolarizing_flip_rate():
     assert abs(flips / n - 0.2) < 6 * math.sqrt(0.2 * 0.8 / n)
 
 
-def test_sift_ledger_fast_path_matches_record_path():
-    config = SessionConfig(
-        2_000, EveStrategy.intercept_resend(0.5), ChannelModel.ideal(), seed=21
-    )
-    ledger = run_session(config).records
-    by_record = [i for i, rec in enumerate(ledger) if rec.alice_basis == rec.bob_basis]
-    assert np.flatnonzero(ledger.sifted).tolist() == by_record
-
-
 # ---------------------------------------------------------------------------
 # full sessions
 
@@ -159,28 +149,6 @@ def test_session_error_count_recomputable_from_ledger():
     sampled = ledger.sampled
     k = int(np.count_nonzero(ledger.alice_bits[sampled] != ledger.bob_bits[sampled]))
     assert k == result.estimate.errors_k
-
-
-def test_every_ledger_record_validates():
-    """Materializing a record runs its consistency checks; a full pass over
-    a 10,000-qubit attacked noisy session must not raise."""
-    result = _session(n=10_000, f=0.3, p=0.2, seed=3)
-    records = list(result.records)
-    assert len(records) == 10_000
-    intercepted = sum(r.eve_intercepted for r in records)
-    assert intercepted == int(np.count_nonzero(result.records.eve_intercepted))
-    assert 0 < intercepted < 10_000
-
-
-def test_ledger_sequence_protocol():
-    ledger = _session(n=50, seed=2).records
-    assert len(ledger) == 50
-    assert isinstance(ledger[0], TransmissionRecord)
-    assert ledger[-1] == ledger[49]
-    with pytest.raises(IndexError):
-        ledger[50]
-    with pytest.raises(TypeError):
-        ledger[0:2]
 
 
 def test_sifted_fraction_near_half():

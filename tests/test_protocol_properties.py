@@ -1,8 +1,10 @@
 """Property-based checks of the per-qubit physics on a session's ledger.
 
-Every qubit of a vectorized session must obey the scalar rules: a
-matched-basis read returns the encoded bit, and the channel's flip is the
-only change between the state that was sent on and the bit that arrives.
+Every qubit of a vectorized session must obey the scalar rules: bits and
+bases are 0 or 1, a position is sifted exactly when Alice's and Bob's bases
+agree, a matched-basis read returns the encoded bit, and the channel's flip
+is the only change between the state that was sent on and the bit that
+arrives.
 The sift and sample counts must agree with the ledger for any config.
 """
 
@@ -40,6 +42,11 @@ def test_ledger_obeys_per_qubit_rules(n, f, p, seed, sample_fraction):
     except EmptySampleError:
         reject()
     led = result.records
+
+    for column in (led.alice_bits, led.alice_bases, led.eve_bases, led.eve_bits,
+                   led.bob_bases, led.bob_bits):
+        assert set(np.unique(column).tolist()) <= {0, 1}
+    assert np.array_equal(led.sifted, led.alice_bases == led.bob_bases)
 
     intercepted = led.eve_intercepted
     # Eve reads Alice's bit exactly when she guesses the preparation basis.

@@ -17,7 +17,6 @@ from bb84sim.stats import (
     confidence_interval,
     hoeffding_half_width,
     normal_quantile,
-    qber_point,
 )
 
 # Reference values frozen from independent evaluations: scipy.stats.norm.ppf
@@ -67,32 +66,17 @@ def test_normal_quantile_tracks_scipy_over_a_grid():
 
 
 def test_normal_quantile_extreme_levels():
-    for level in (1e-12, 1 - 1e-12, 1e-9, 1 - 1e-9):
-        ref = float(scipy.stats.norm.ppf(0.5 + level / 2.0))
+    # The reference takes the upper tail (1 - level)/2, which is exact near
+    # level 1; 0.5 + level/2 rounds there, and at 1 - 2**-53 it reaches 1.
+    for level in (1e-12, 1 - 1e-12, 1e-9, 1 - 1e-9, 1 - 1e-15, 1 - 2**-53):
+        ref = float(scipy.stats.norm.isf((1.0 - level) / 2.0))
         assert normal_quantile(level) == pytest.approx(ref, rel=1e-9)
-    # For the largest level below 1, 0.5 + level/2 rounds to 1; the
-    # reference takes the exact upper tail instead.
-    top = 1 - 2**-53
-    ref = float(scipy.stats.norm.isf((1.0 - top) / 2.0))
-    assert normal_quantile(top) == pytest.approx(ref, rel=1e-9)
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5])
 def test_normal_quantile_domain(bad):
     with pytest.raises(ValueError):
         normal_quantile(bad)
-
-
-# ---------------------------------------------------------------------------
-# point estimate
-
-
-def test_qber_point():
-    est = qber_point(3, 12)
-    assert est == QberEstimate(3, 12)
-    assert est.point_estimate == 0.25
-    with pytest.raises(ValueError):
-        qber_point(5, 4)
 
 
 # ---------------------------------------------------------------------------
