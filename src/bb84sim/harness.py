@@ -264,6 +264,8 @@ def run_finite_size_study(
         raise ValueError("n_values must be non-empty")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing")
+    check_trials(trials)
+    check_confidence(confidence)
     out: list[FiniteSizePoint] = []
     for n_index, n_qubits in enumerate(n_values):
         rows = _run_point_trials(

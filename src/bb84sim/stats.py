@@ -15,9 +15,9 @@ accuracy/robustness trade-offs for a binomial proportion:
   sqrt(ln(2/delta) / (2n)); the widest of the four, but valid for any
   bounded error process regardless of sample size.
 
-All functions are pure. The standard-normal quantile is computed locally
-(Wichura's algorithm AS 241) rather than taken from a table or an external
-dependency, so every number the library emits is reproducible from this file.
+All functions are pure. The standard-normal quantile comes from the standard
+library's `statistics.NormalDist`, which implements Wichura's algorithm AS 241
+(PPND16); `statistics` is imported on the first quantile, not with this module.
 
 Only Clopper-Pearson needs scipy, for the binomial tails `bdtr` and `bdtrc`.
 Importing `scipy.special` takes about 0.3 s, so it happens on the first
@@ -27,71 +27,22 @@ when this module is imported.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     CIMethod, ConfidenceInterval, QberEstimate,
     check_compared_n, check_confidence, check_probability,
 )
 
-# Coefficients of Wichura's AS 241 rational approximations (PPND16 variant,
-# absolute error below 1e-15 over (0, 1)). Highest-order term first.
-_A = (
-    2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-    4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-    1.3314166789178437745e2, 3.3871328727963666080e0,
-)
-_B = (
-    5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-    2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-    4.2313330701600911252e1, 1.0,
-)
-_C = (
-    7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
-    1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
-    4.63033784615654529590e0, 1.42343711074968357734e0,
-)
-_D = (
-    1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-    1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
-    2.05319162663775882187e0, 1.0,
-)
-_E = (
-    2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-    2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
-    5.46378491116411436990e0, 6.65790464350110377720e0,
-)
-_F = (
-    2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-    7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-    5.99832206555887937690e-1, 1.0,
-)
 
+@functools.cache
+def _standard_normal():
+    from statistics import NormalDist
 
-def _horner(coeffs: tuple[float, ...], x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _ppnd16(p: float) -> float:
-    """Lower-tail standard-normal quantile via AS 241 (PPND16)."""
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _horner(_A, r) / _horner(_B, r)
-    r = p if q < 0.0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        z = _horner(_C, r) / _horner(_D, r)
-    else:
-        r -= 5.0
-        z = _horner(_E, r) / _horner(_F, r)
-    return -z if q < 0.0 else z
+    return NormalDist()
 
 
 def normal_quantile(two_sided_level: float) -> float:
@@ -102,7 +53,7 @@ def normal_quantile(two_sided_level: float) -> float:
     level of 1/2 and above; 0.5 + level / 2 would round near 1.
     """
     check_confidence(two_sided_level)
-    return -_ppnd16((1.0 - two_sided_level) / 2.0)
+    return -_standard_normal().inv_cdf((1.0 - two_sided_level) / 2.0)
 
 
 def ci_wald(est: QberEstimate, confidence: float) -> ConfidenceInterval:
@@ -141,7 +92,7 @@ def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
 
 
 def _bisect_binomial(
-    tail: "callable", target: float, increasing: bool, tol: float = 1e-9
+    tail: Callable[[float], float], target: float, increasing: bool, tol: float = 1e-9
 ) -> float:
     """Solve tail(p) = target for p in [0, 1] by bisection on a monotone tail."""
     lo, hi = 0.0, 1.0

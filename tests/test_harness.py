@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bb84sim import harness
 from bb84sim.core import CIMethod, QberEstimate
 from bb84sim.harness import (
     _GOLDEN,
@@ -224,11 +225,20 @@ def test_finite_size_single_n():
     assert points[0].ci_width > 0.0
 
 
-def test_finite_size_input_validation():
+def test_finite_size_input_validation(monkeypatch):
+    def no_session(config):
+        pytest.fail("a session ran before the arguments were checked")
+
+    monkeypatch.setattr(harness, "run_session", no_session)
     with pytest.raises(ValueError):
         run_finite_size_study(0.5, [])
     with pytest.raises(ValueError):
         run_finite_size_study(0.5, [2_000, 1_000])
+    with pytest.raises(ValueError):
+        run_finite_size_study(0.25, [2_000, 8_000], trials=1)
+    for bad in (1.5, math.nan):
+        with pytest.raises(ValueError):
+            run_finite_size_study(0.25, [2_000, 8_000], trials=5, confidence=bad)
 
 
 def test_finite_size_honours_interval_method():

@@ -1,4 +1,6 @@
-"""scipy is imported only when a Clopper-Pearson interval is computed.
+"""scipy is imported only when a Clopper-Pearson interval is computed, and
+`statistics` only when a normal quantile is; neither loads with the package
+or for the security threshold.
 
 Each check runs in a fresh interpreter, because this test session has
 already imported scipy (test_stats.py takes its reference values from
@@ -47,11 +49,11 @@ def _run(code, cwd):
     return "".join(printed), last.split()
 
 
-def test_import_and_threshold_root_leave_scipy_unloaded(tmp_path):
+def test_import_and_threshold_root_leave_scipy_and_statistics_unloaded(tmp_path):
     code = ("import sys, bb84sim, bb84sim.cli\n"
             "bb84sim.threshold_root()\n"
-            "print('scipy' in sys.modules)")
-    assert _run(code, tmp_path)[1] == ["False"]
+            "print('scipy' in sys.modules, 'statistics' in sys.modules)")
+    assert _run(code, tmp_path)[1] == ["False", "False"]
 
 
 @pytest.mark.parametrize("argv", [

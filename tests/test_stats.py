@@ -58,6 +58,25 @@ def test_normal_quantile_frozen_values():
         assert normal_quantile(level) == pytest.approx(z, abs=1e-9)
 
 
+def test_normal_quantile_bits_are_frozen():
+    # Wald, Wilson and the sweep's interval of the mean are printed from z, so
+    # z may not move even in its last bit; the approx checks above and below
+    # would not notice that.
+    frozen = {
+        0.5: "0x1.5956b87528a49p-1",
+        0.8: "0x1.4813c36e26d34p+0",
+        0.9: "0x1.a515209676abdp+0",
+        0.95: "0x1.f5c0331eeff82p+0",
+        0.99: "0x1.49b4c64d6915fp+1",
+        0.999: "0x1.a52ffadd2f8c0p+1",
+        0.9999: "0x1.f1feea391d181p+1",
+        1 - 1e-12: "0x1.c85a462a6e23dp+2",
+        1 - 2**-53: "0x1.095b059d67c4cp+3",
+    }
+    for level, bits in frozen.items():
+        assert normal_quantile(level).hex() == bits, level
+
+
 def test_normal_quantile_tracks_scipy_over_a_grid():
     levels = np.linspace(0.001, 0.999, 997)
     ours = np.array([normal_quantile(float(v)) for v in levels])
