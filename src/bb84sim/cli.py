@@ -43,9 +43,11 @@ EXIT_RUNTIME = 2
 
 SEED_ENV_VAR = "BB84SIM_SEED"
 
-# Peak allocation of one run_session per qubit. tracemalloc reads 25.0 B at
-# the default sample fraction and 27.1 B as it nears 1 (the sample indices
-# are int64), for sessions of 10^5 qubits and more.
+# Peak allocation of one run_session per qubit, for sessions of 10^5 qubits
+# and more. tracemalloc reads 20.0 B with the ledger at the default sample
+# fraction and 22.0 B as it nears 1 (the sample indices are int64). The
+# counts-only session of a sweep reads 15.0-20.0 B and 17.0-22.0 B, least
+# at f = 0 and p = 0, where it skips the most blocks.
 SESSION_BYTES_PER_QUBIT = 28
 
 _CI_CHOICES = tuple(m.value for m in CIMethod)

@@ -124,7 +124,7 @@ def _run_point_trials(
             seed=seed,
         )
         try:
-            result = run_session(config)
+            result = run_session(config, ledger=False)
         except Exception as exc:
             raise RuntimeError(f"trial failed at f={f}, trial={t}: {exc}") from exc
         est = result.estimate

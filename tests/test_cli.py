@@ -96,17 +96,27 @@ def test_usage_errors_exit_1(monkeypatch, tmp_path, capsys):
         assert err.strip(), argv
 
 
-@pytest.mark.parametrize("sample_fraction", [0.5, 0.999])
-def test_memory_estimate_covers_a_session_peak(sample_fraction):
+# Both session paths; at p = 0 the counts-only session skips the channel.
+@pytest.mark.parametrize("sample_fraction, p, ledger", [
+    pytest.param(0.5, 0.1, True, id="0.5"),
+    pytest.param(0.999, 0.1, True, id="0.999"),
+    pytest.param(0.5, 0.0, True, id="0.5-p0-ledger"),
+    pytest.param(0.999, 0.0, True, id="0.999-p0-ledger"),
+    pytest.param(0.5, 0.1, False, id="0.5-counts"),
+    pytest.param(0.999, 0.1, False, id="0.999-counts"),
+    pytest.param(0.5, 0.0, False, id="0.5-p0-counts"),
+    pytest.param(0.999, 0.0, False, id="0.999-p0-counts"),
+])
+def test_memory_estimate_covers_a_session_peak(sample_fraction, p, ledger):
     n = 10**5
     config = SessionConfig(n, EveStrategy.intercept_resend(0.5),
-                           ChannelModel.depolarizing(0.1), sample_fraction, seed=3)
+                           ChannelModel.depolarizing(p), sample_fraction, seed=3)
     run_session(config)  # numpy imports its random module on first use
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        run_session(config)
+        run_session(config, ledger=ledger)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

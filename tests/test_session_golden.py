@@ -19,6 +19,8 @@ from bb84sim.protocol import (
     EveStrategy,
     SessionConfig,
     _random_bits,
+    _skip_bytes,
+    _skip_random,
     run_session,
 )
 
@@ -83,6 +85,23 @@ def test_random_bits_match_integers_draw(n, earlier):
     got = _random_bits(rng, n)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 1_001, 49_999, 50_000, 50_001])
+@pytest.mark.parametrize("earlier", [0, 3, 5], ids=["fresh", "after-odd-draw", "after-used-half-word"])
+@pytest.mark.parametrize("draw, skip", [("bytes", _skip_bytes), ("random", _skip_random)],
+                         ids=["bytes", "random"])
+def test_skip_leaves_the_state_of_the_draw(n, earlier, draw, skip):
+    """Skipping `rng.bytes(n)` or `rng.random(n)` leaves the whole
+    `bit_generator.state` the draw leaves: the 128-bit state, and the uint32
+    buffer, whether it holds a half-word (after 3 leading bytes) or not, and
+    the `uinteger` a used half-word leaves behind (after 5)."""
+    ref, rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    for gen in (ref, rng):
+        gen.integers(0, 2, earlier, dtype=np.uint8)
+    getattr(ref, draw)(n)
+    skip(rng.bit_generator, n)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
