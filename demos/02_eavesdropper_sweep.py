@@ -22,16 +22,12 @@ def main() -> None:
     print("interception fraction vs observed error rate (50 trials each)")
     print(f"{'f':>5}  {'mean':>9}  {'std':>9}  {'95% CI of mean':>22}  {'f/4':>7}")
     for point in result.per_point:
-        agg = point.aggregate
-        ci = agg.ci_of_mean
         print(
-            f"{point.f:>5.2f}  {agg.mean_qber:>9.6f}  {agg.std_dev:>9.6f}"
-            f"  [{ci.lower:.6f}, {ci.upper:.6f}]  {point.theory_f_over_4:>7.4f}"
+            f"{point.f:>5.2f}  {point.mean_qber:>9.6f}  {point.std_dev:>9.6f}"
+            f"  [{point.ci_low:.6f}, {point.ci_high:.6f}]  {point.theory:>7.4f}"
         )
 
-    worst = max(
-        abs(p.aggregate.mean_qber - p.theory_f_over_4) for p in result.per_point
-    )
+    worst = max(abs(p.mean_qber - p.theory) for p in result.per_point)
     print(f"\nlargest deviation from f/4: {worst:.6f}")
 
 

@@ -19,10 +19,10 @@ from .decision import (
     threshold_root,
 )
 from .harness import (
+    AggregateRow,
     FiniteSizePoint,
     HistogramResult,
     SweepConfig,
-    SweepPoint,
     SweepResult,
     TrialRow,
     derive_trial_seed,
@@ -54,6 +54,7 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AggregateRow",
     "CIMethod",
     "ChannelModel",
     "ConfidenceInterval",
@@ -69,7 +70,6 @@ __all__ = [
     "SessionConfig",
     "SessionResult",
     "SweepConfig",
-    "SweepPoint",
     "SweepResult",
     "TransmissionLedger",
     "TrialAggregate",

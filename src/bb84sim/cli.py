@@ -8,11 +8,13 @@ Subcommands:
 
 Exit statuses: 0 success, 1 usage error, 2 runtime/simulation error.
 
-Output formats (frozen; golden tests depend on the exact bytes): the columns
-of the per-trial file are the fields of `harness.TrialRow`, and those of the
-aggregate file the fields of `AggregateRow`, in field order. Floats are fixed
-6-decimal in CSV. JSON rows carry the same columns with the values rounded to
-6 decimals before serialization, so both formats encode the identical numbers.
+Output formats (frozen; golden tests depend on the exact bytes): `sweep`
+writes the two row tuples of `harness.run_sweep` as they are. The columns of
+the per-trial file are the fields of `harness.TrialRow`, and those of the
+aggregate file the fields of `harness.AggregateRow`, in field order. Floats
+are fixed 6-decimal in CSV. JSON rows carry the same columns with the values
+rounded to 6 decimals before serialization, so both formats encode the
+identical numbers.
 
 The default master seed is 42; the BB84SIM_SEED environment variable
 overrides it, and an explicit --seed flag overrides both.
@@ -26,14 +28,14 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from functools import cache, partial
 from operator import attrgetter
 from typing import Callable, Optional, Sequence, get_type_hints
 
 from .core import CIMethod, QberEstimate, check_confidence, check_probability
 from .decision import DecisionPolicy, decide, key_rate, threshold_root
-from .harness import SweepConfig, SweepResult, TrialRow, run_sweep
+from .harness import AggregateRow, SweepConfig, TrialRow, run_sweep
 from .protocol import ChannelModel, EveStrategy, SessionConfig, run_session
 from .stats import confidence_interval
 
@@ -60,37 +62,6 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-@dataclass(frozen=True, slots=True)
-class AggregateRow:
-    """One aggregate-file row; its fields, in order, are the file's columns."""
-
-    f: float
-    trials: int
-    mean_qber: float
-    std_dev: float
-    ci_low: float
-    ci_high: float
-    theory: float
-
-
-def aggregate_rows(result: SweepResult) -> list[AggregateRow]:
-    rows = []
-    for point in result.per_point:
-        agg = point.aggregate
-        rows.append(
-            AggregateRow(
-                f=point.f,
-                trials=agg.trials_m,
-                mean_qber=agg.mean_qber,
-                std_dev=agg.std_dev,
-                ci_low=agg.ci_of_mean.lower,
-                ci_high=agg.ci_of_mean.upper,
-                theory=point.theory_f_over_4,
-            )
-        )
-    return rows
 
 
 # Each output file is described by its row dataclass: the fields, in order,
@@ -331,17 +302,16 @@ def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
 
 def cmd_sweep(args: argparse.Namespace, config: SweepConfig) -> int:
     result = run_sweep(config, workers=args.workers)
-    agg = aggregate_rows(result)
 
     ext = args.format
     trials_path = f"{args.out}_trials.{ext}"
     aggregate_path = f"{args.out}_aggregate.{ext}"
     if args.format == "csv":
         trials_text = format_trials_csv(result.per_trial_rows)
-        aggregate_text = format_aggregate_csv(agg)
+        aggregate_text = format_aggregate_csv(result.per_point)
     else:
         trials_text = format_trials_json(result.per_trial_rows)
-        aggregate_text = format_aggregate_json(agg)
+        aggregate_text = format_aggregate_json(result.per_point)
     with open(trials_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(trials_text)
     with open(aggregate_path, "w", encoding="utf-8", newline="") as fh:
@@ -353,7 +323,7 @@ def cmd_sweep(args: argparse.Namespace, config: SweepConfig) -> int:
     widths = [max(len(name), 8 if kind is float else 0)
               for name, kind in columns(AggregateRow)]
     cells = _cell_function(AggregateRow, _fmt)
-    for line in (names, *map(cells, agg)):
+    for line in (names, *map(cells, result.per_point)):
         print("  ".join(str(c).rjust(w) for c, w in zip(line, widths)))
     print(f"wrote {trials_path}", file=sys.stderr)
     print(f"wrote {aggregate_path}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Shared domain types: interval methods, decisions, estimates, intervals and
-verdicts, and the bound checks on the quantities they share.
+verdicts, the bound checks on the quantities they share, and the bisection
+that both the threshold and the exact interval solve with.
 
 Everything here is an immutable value type. Instances validate themselves on
 construction, so any estimate that exists is internally consistent.
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 
 class CIMethod(enum.Enum):
@@ -43,6 +45,21 @@ def check_compared_n(compared_n: int) -> None:
     """Raise ValueError unless at least one bit was compared."""
     if compared_n < 1:
         raise ValueError(f"compared_n must be positive, got {compared_n}")
+
+
+def bisect_root(root_above: Callable[[float], bool], hi: float = 1.0,
+                tol: float = 1e-9) -> float:
+    """The root of a monotone function on [0, hi] by bisection: halve the
+    bracket, keeping the upper half where root_above(midpoint), until it is
+    no wider than tol, and return its midpoint."""
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if root_above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    ConfidenceInterval, Decision, QberEstimate, SecurityVerdict, check_probability,
+    ConfidenceInterval, Decision, QberEstimate, SecurityVerdict, bisect_root,
+    check_probability,
 )
 
 
@@ -65,14 +66,7 @@ def threshold_root() -> float:
     The rate is strictly decreasing on [0, 0.5] from 1 to -1, so the root is
     unique; bisection runs to an interval width of 1e-9. Q* ~ 0.1100.
     """
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if 1.0 - 2.0 * binary_entropy(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_root(lambda q: 1.0 - 2.0 * binary_entropy(q) > 0.0, hi=0.5)
 
 
 def decide(

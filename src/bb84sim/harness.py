@@ -49,7 +49,11 @@ def derive_trial_seed(master_seed: int, f_index: int, trial_index: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class SweepConfig:
-    """Parameters of an eavesdropper-fraction sweep."""
+    """Parameters of an eavesdropper-fraction sweep, checked on construction.
+
+    Every runner plans its trials through one, so each parameter is checked
+    in one place and before the first session runs.
+    """
 
     f_values: tuple[float, ...]
     trials_per_f: int = 50
@@ -89,42 +93,43 @@ class TrialRow:
 
 
 @dataclass(frozen=True, slots=True)
-class SweepPoint:
-    """Aggregate for one f, with the theoretical f/4 alongside."""
+class AggregateRow:
+    """One sweep point: the aggregate over its trials, with the theoretical
+    f/4 alongside. Its fields, in order, are the columns of the sweep's
+    aggregate file."""
 
     f: float
-    aggregate: TrialAggregate
-    theory_f_over_4: float
+    trials: int
+    mean_qber: float
+    std_dev: float
+    ci_low: float
+    ci_high: float
+    theory: float
 
 
 @dataclass(frozen=True, slots=True)
 class SweepResult:
-    per_point: tuple[SweepPoint, ...]
+    """The rows of a sweep's two files: one per point and one per trial."""
+
+    per_point: tuple[AggregateRow, ...]
     per_trial_rows: tuple[TrialRow, ...]
 
 
-def _run_point_trials(
-    f: float,
-    f_index: int,
-    trials: int,
-    *,
-    n_qubits: int,
-    sample_fraction: float,
-    channel: ChannelModel,
-    master_seed: int,
-    workers: int = 1,
-) -> list[TrialRow]:
+def _run_point_trials(config: SweepConfig, f: float, index: int,
+                      workers: int) -> list[TrialRow]:
+    """The config's trials at fraction f, seeded from (master seed, index)."""
+
     def job(t: int) -> TrialRow:
-        seed = derive_trial_seed(master_seed, f_index, t)
-        config = SessionConfig(
-            n_qubits=n_qubits,
+        seed = derive_trial_seed(config.master_seed, index, t)
+        session = SessionConfig(
+            n_qubits=config.n_qubits,
             eve=EveStrategy.intercept_resend(f),
-            channel=channel,
-            sample_fraction=sample_fraction,
+            channel=config.channel,
+            sample_fraction=config.sample_fraction,
             seed=seed,
         )
         try:
-            result = run_session(config, ledger=False)
+            result = run_session(session, ledger=False)
         except Exception as exc:
             raise RuntimeError(f"trial failed at f={f}, trial={t}: {exc}") from exc
         est = result.estimate
@@ -132,7 +137,7 @@ def _run_point_trials(
             f=f,
             trial=t,
             seed=seed,
-            n_qubits=n_qubits,
+            n_qubits=config.n_qubits,
             sifted_count=result.sifted_count,
             compared_n=est.compared_n,
             errors_k=est.errors_k,
@@ -141,8 +146,12 @@ def _run_point_trials(
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(job, range(trials)))
-    return [job(t) for t in range(trials)]
+            return list(pool.map(job, range(config.trials_per_f)))
+    return [job(t) for t in range(config.trials_per_f)]
+
+
+def _estimates(rows: Sequence[TrialRow]) -> list[QberEstimate]:
+    return [QberEstimate(r.errors_k, r.compared_n) for r in rows]
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
@@ -150,22 +159,22 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
 
     Deterministic in the config; the worker count only affects wall time.
     """
-    rows: list[TrialRow] = []
-    points: list[SweepPoint] = []
-    for f_index, f in enumerate(config.f_values):
-        trial_rows = _run_point_trials(
-            f, f_index, config.trials_per_f,
-            n_qubits=config.n_qubits,
-            sample_fraction=config.sample_fraction,
-            channel=config.channel,
-            master_seed=config.master_seed,
-            workers=workers,
-        )
-        rows.extend(trial_rows)
-        estimates = [QberEstimate(r.errors_k, r.compared_n) for r in trial_rows]
-        aggregate = aggregate_trials(estimates, config.confidence)
-        points.append(SweepPoint(f=f, aggregate=aggregate, theory_f_over_4=f / 4.0))
-    return SweepResult(per_point=tuple(points), per_trial_rows=tuple(rows))
+    trial_rows: list[TrialRow] = []
+    points: list[AggregateRow] = []
+    for index, f in enumerate(config.f_values):
+        rows = _run_point_trials(config, f, index, workers)
+        trial_rows.extend(rows)
+        agg = aggregate_trials(_estimates(rows), config.confidence)
+        points.append(AggregateRow(
+            f=f,
+            trials=agg.trials_m,
+            mean_qber=agg.mean_qber,
+            std_dev=agg.std_dev,
+            ci_low=agg.ci_of_mean.lower,
+            ci_high=agg.ci_of_mean.upper,
+            theory=f / 4.0,
+        ))
+    return SweepResult(per_point=tuple(points), per_trial_rows=tuple(trial_rows))
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,14 +214,10 @@ def run_histogram(
     agree exactly (std = 0) a single bin holds them all. Pass f_index to
     reuse the per-trial seeds of a sweep position.
     """
-    check_trials(trials)
+    config = SweepConfig((f,), trials, n_qubits, sample_fraction, channel, master_seed)
     if bin_width <= 0.0:
         raise ValueError(f"bin_width must be positive, got {bin_width}")
-    rows = _run_point_trials(
-        f, f_index, trials,
-        n_qubits=n_qubits, sample_fraction=sample_fraction,
-        channel=channel, master_seed=master_seed, workers=workers,
-    )
+    rows = _run_point_trials(config, f, f_index, workers)
     values = np.array([r.qber for r in rows])
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1))
@@ -264,22 +269,20 @@ def run_finite_size_study(
         raise ValueError("n_values must be non-empty")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing")
-    check_trials(trials)
-    check_confidence(confidence)
+    configs = [
+        SweepConfig((f,), trials, n_qubits, sample_fraction, channel, master_seed,
+                    confidence)
+        for n_qubits in n_values
+    ]
     out: list[FiniteSizePoint] = []
-    for n_index, n_qubits in enumerate(n_values):
-        rows = _run_point_trials(
-            f, n_index, trials,
-            n_qubits=n_qubits, sample_fraction=sample_fraction,
-            channel=channel, master_seed=master_seed, workers=workers,
-        )
-        estimates = [QberEstimate(r.errors_k, r.compared_n) for r in rows]
+    for n_index, config in enumerate(configs):
+        estimates = _estimates(_run_point_trials(config, f, n_index, workers))
         widths = [
             confidence_interval(e, confidence, ci_method).width for e in estimates
         ]
         out.append(
             FiniteSizePoint(
-                n_qubits=n_qubits,
+                n_qubits=config.n_qubits,
                 aggregate=aggregate_trials(estimates, confidence),
                 ci_width=float(np.mean(widths)),
             )

@@ -108,47 +108,31 @@ class SessionConfig:
         check_session_params(self.n_qubits, self.sample_fraction, self.seed)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class TransmissionLedger:
     """Per-qubit ledger of a whole session, stored as equal-length numpy
     columns for vectorized auditing. Entries of `eve_bases` and `eve_bits`
     are only meaningful where `eve_intercepted` is set.
+
+    Its fields, in order, are the columns, also listed as `__slots__`.
+    Equality is identity, since `==` on arrays has no single truth value.
     """
 
-    __slots__ = (
-        "alice_bits", "alice_bases", "eve_intercepted", "eve_bases", "eve_bits",
-        "channel_flipped", "bob_bases", "bob_bits", "sifted", "sampled",
-    )
+    alice_bits: np.ndarray
+    alice_bases: np.ndarray
+    eve_intercepted: np.ndarray
+    eve_bases: np.ndarray
+    eve_bits: np.ndarray
+    channel_flipped: np.ndarray
+    bob_bases: np.ndarray
+    bob_bits: np.ndarray
+    sifted: np.ndarray
+    sampled: np.ndarray
 
-    def __init__(
-        self,
-        alice_bits: np.ndarray,
-        alice_bases: np.ndarray,
-        eve_intercepted: np.ndarray,
-        eve_bases: np.ndarray,
-        eve_bits: np.ndarray,
-        channel_flipped: np.ndarray,
-        bob_bases: np.ndarray,
-        bob_bits: np.ndarray,
-        sifted: np.ndarray,
-        sampled: np.ndarray,
-    ) -> None:
-        columns = (
-            alice_bits, alice_bases, eve_intercepted, eve_bases, eve_bits,
-            channel_flipped, bob_bases, bob_bits, sifted, sampled,
-        )
-        n = len(alice_bits)
-        if any(len(col) != n for col in columns):
+    def __post_init__(self) -> None:
+        n = len(self.alice_bits)
+        if any(len(getattr(self, name)) != n for name in self.__slots__):
             raise ValueError("all ledger columns must have equal length")
-        self.alice_bits = alice_bits
-        self.alice_bases = alice_bases
-        self.eve_intercepted = eve_intercepted
-        self.eve_bases = eve_bases
-        self.eve_bits = eve_bits
-        self.channel_flipped = channel_flipped
-        self.bob_bases = bob_bases
-        self.bob_bits = bob_bits
-        self.sifted = sifted
-        self.sampled = sampled
 
     def __len__(self) -> int:
         return len(self.alice_bits)

@@ -30,11 +30,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     CIMethod, ConfidenceInterval, QberEstimate,
-    check_compared_n, check_confidence, check_probability,
+    bisect_root, check_compared_n, check_confidence, check_probability,
 )
 
 
@@ -91,20 +91,6 @@ def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     )
 
 
-def _bisect_binomial(
-    tail: Callable[[float], float], target: float, increasing: bool, tol: float = 1e-9
-) -> float:
-    """Solve tail(p) = target for p in [0, 1] by bisection on a monotone tail."""
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (tail(mid) < target) == increasing:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _bind_tails() -> None:
     """Import scipy's binomial tails into this module's globals, keeping any
     binding already there (a counting wrapper set with setattr)."""
@@ -142,15 +128,12 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
         lower = 0.0
     else:
         # P[X >= k] grows monotonically from 0 to 1 as p sweeps [0, 1].
-        lower = _bisect_binomial(
-            lambda p: float(bdtrc(k - 1, n, p)), alpha / 2.0, increasing=True
-        )
+        lower = bisect_root(lambda p: bdtrc(k - 1, n, p) < alpha / 2.0)
     if k == n:
         upper = 1.0
     else:
-        upper = _bisect_binomial(
-            lambda p: float(bdtr(k, n, p)), alpha / 2.0, increasing=False
-        )
+        # P[X <= k] falls monotonically from 1 to 0.
+        upper = bisect_root(lambda p: bdtr(k, n, p) >= alpha / 2.0)
     return ConfidenceInterval(lower, upper, confidence, CIMethod.CLOPPER_PEARSON)
 
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from bb84sim.cli import _f_grid, format_aggregate_csv, format_trials_csv, aggregate_rows
+from bb84sim.cli import _f_grid, format_aggregate_csv, format_trials_csv
 from bb84sim.core import QberEstimate
 from bb84sim.harness import SweepConfig, run_finite_size_study, run_histogram, run_sweep
 from bb84sim.stats import ci_clopper_pearson, ci_wilson, hoeffding_half_width
@@ -40,17 +40,17 @@ def test_acceptance_1_five_point_agreement(default_sweep):
     targets = {0.0, 0.1, 0.2, 0.5, 1.0}
     rows = [p for p in result.per_point if p.f in targets]
     assert len(rows) == 5
-    worst = max(abs(p.aggregate.mean_qber - p.f / 4.0) for p in rows)
+    worst = max(abs(p.mean_qber - p.f / 4.0) for p in rows)
     zero = next(p for p in rows if p.f == 0.0)
     ok = (
         worst <= 0.005
-        and zero.aggregate.mean_qber == 0.0
-        and zero.aggregate.std_dev == 0.0
+        and zero.mean_qber == 0.0
+        and zero.std_dev == 0.0
     )
     _report(
         1, "five-point mean error rate within 0.005 of f/4", ok,
         f"max |mean - f/4| = {worst:.6f}, f=0 mean/std = "
-        f"{zero.aggregate.mean_qber}/{zero.aggregate.std_dev}",
+        f"{zero.mean_qber}/{zero.std_dev}",
     )
 
 
@@ -58,12 +58,12 @@ def test_acceptance_2_linear_sweep(default_sweep):
     _, result = default_sweep
     assert len(result.per_point) == 21
     deviations_ok = all(
-        abs(p.aggregate.mean_qber - p.f / 4.0)
-        <= 4.0 * p.aggregate.std_dev / math.sqrt(p.aggregate.trials_m)
+        abs(p.mean_qber - p.f / 4.0)
+        <= 4.0 * p.std_dev / math.sqrt(p.trials)
         for p in result.per_point
     )
     fs = np.array([p.f for p in result.per_point])
-    means = np.array([p.aggregate.mean_qber for p in result.per_point])
+    means = np.array([p.mean_qber for p in result.per_point])
     slope = float(np.polyfit(fs, means, 1)[0])
     ok = deviations_ok and 0.24 <= slope <= 0.26
     _report(
@@ -182,7 +182,7 @@ FLAGSHIP_SHA256 = {
 def _csv_files(result):
     return {
         "trials": format_trials_csv(result.per_trial_rows),
-        "aggregate": format_aggregate_csv(aggregate_rows(result)),
+        "aggregate": format_aggregate_csv(result.per_point),
     }
 
 

@@ -88,8 +88,8 @@ def test_sweep_shape_and_theory_column(small_sweep):
     assert len(result.per_point) == 3
     assert len(result.per_trial_rows) == 3 * 8
     for point in result.per_point:
-        assert point.theory_f_over_4 == point.f / 4.0
-        assert point.aggregate.trials_m == 8
+        assert point.theory == point.f / 4.0
+        assert point.trials == 8
 
 
 def test_sweep_rows_carry_their_seeds(small_sweep):
@@ -111,7 +111,9 @@ def test_sweep_aggregates_recomputable_from_rows(small_sweep):
         redo = aggregate_trials(
             [QberEstimate(r.errors_k, r.compared_n) for r in rows], 0.95
         )
-        assert redo == point.aggregate
+        assert (redo.trials_m, redo.mean_qber, redo.std_dev,
+                redo.ci_of_mean.lower, redo.ci_of_mean.upper) == (
+            point.trials, point.mean_qber, point.std_dev, point.ci_low, point.ci_high)
 
 
 def test_sweep_is_deterministic(small_sweep):
@@ -131,9 +133,8 @@ def test_sweep_means_track_f_over_4():
         f_values=(0.0, 0.4, 0.8), trials_per_f=10, n_qubits=20_000
     )
     for point in run_sweep(config).per_point:
-        agg = point.aggregate
-        bound = 4.0 * agg.std_dev / math.sqrt(agg.trials_m)
-        assert abs(agg.mean_qber - point.theory_f_over_4) <= max(bound, 1e-12)
+        bound = 4.0 * point.std_dev / math.sqrt(point.trials)
+        assert abs(point.mean_qber - point.theory) <= max(bound, 1e-12)
 
 
 def test_sweep_wraps_session_errors_with_context():
@@ -193,11 +194,19 @@ def test_histogram_std_scales_with_qubit_count():
     assert math.sqrt(10) * 0.8 < ratio < math.sqrt(10) * 1.2
 
 
-def test_histogram_parameter_validation():
+def _no_session(*args, **kwargs):
+    pytest.fail("a session ran before the arguments were checked")
+
+
+def test_histogram_parameter_validation(monkeypatch):
+    monkeypatch.setattr(harness, "run_session", _no_session)
     with pytest.raises(ValueError):
         run_histogram(0.5, trials=1)
     with pytest.raises(ValueError):
         run_histogram(0.5, trials=10, bin_width=0.0)
+    for bad_seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="64 bits"):
+            run_histogram(0.5, trials=10, master_seed=bad_seed)
 
 
 def test_histogram_workers_do_not_change_results():
@@ -226,10 +235,7 @@ def test_finite_size_single_n():
 
 
 def test_finite_size_input_validation(monkeypatch):
-    def no_session(config):
-        pytest.fail("a session ran before the arguments were checked")
-
-    monkeypatch.setattr(harness, "run_session", no_session)
+    monkeypatch.setattr(harness, "run_session", _no_session)
     with pytest.raises(ValueError):
         run_finite_size_study(0.5, [])
     with pytest.raises(ValueError):
@@ -239,6 +245,9 @@ def test_finite_size_input_validation(monkeypatch):
     for bad in (1.5, math.nan):
         with pytest.raises(ValueError):
             run_finite_size_study(0.25, [2_000, 8_000], trials=5, confidence=bad)
+    for bad_seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="64 bits"):
+            run_finite_size_study(0.25, [2_000, 8_000], trials=5, master_seed=bad_seed)
 
 
 def test_finite_size_honours_interval_method():

@@ -8,6 +8,7 @@ from bb84sim.protocol import (
     EmptySampleError,
     EveStrategy,
     SessionConfig,
+    TransmissionLedger,
     run_session,
 )
 
@@ -141,6 +142,16 @@ def test_session_bookkeeping():
     # sampled positions are sifted positions
     assert not np.any(ledger.sampled & ~ledger.sifted)
     assert int(np.count_nonzero(ledger.sampled)) == result.estimate.compared_n
+
+
+@pytest.mark.parametrize("short", TransmissionLedger.__slots__)
+def test_ledger_rejects_columns_of_unequal_length(short):
+    ledger = _session(n=200, f=0.5, seed=3).records
+    columns = {name: getattr(ledger, name) for name in TransmissionLedger.__slots__}
+    columns[short] = columns[short][:-1]
+    with pytest.raises(ValueError, match="equal length"):
+        TransmissionLedger(**columns)
+    assert len(TransmissionLedger(**{name: col[:7] for name, col in columns.items()})) == 7
 
 
 def test_session_error_count_recomputable_from_ledger():
