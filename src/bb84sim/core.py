@@ -2,8 +2,9 @@
 verdicts, the bound checks on the quantities they share, and the bisection
 that both the threshold and the exact interval solve with.
 
-Everything here is an immutable value type. Instances validate themselves on
-construction, so any estimate that exists is internally consistent.
+Everything here is an immutable value type. Estimates and intervals validate
+themselves on construction, and a verdict derives its decision, so any value
+that exists is internally consistent.
 """
 
 from __future__ import annotations
@@ -47,13 +48,15 @@ def check_compared_n(compared_n: int) -> None:
         raise ValueError(f"compared_n must be positive, got {compared_n}")
 
 
-def bisect_root(root_above: Callable[[float], bool], hi: float = 1.0,
-                tol: float = 1e-9) -> float:
+BISECT_TOL = 1e-9
+
+
+def bisect_root(root_above: Callable[[float], bool], hi: float = 1.0) -> float:
     """The root of a monotone function on [0, hi] by bisection: halve the
     bracket, keeping the upper half where root_above(midpoint), until it is
-    no wider than tol, and return its midpoint."""
+    no wider than BISECT_TOL, and return its midpoint."""
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if root_above(mid):
             lo = mid
@@ -85,19 +88,17 @@ class QberEstimate:
 
 @dataclass(frozen=True, slots=True)
 class ConfidenceInterval:
-    """A [lower, upper] interval for an error rate at a given confidence level."""
+    """A [lower, upper] interval for an error rate. The function that builds
+    one checks its confidence level; the interval keeps only the bounds."""
 
     lower: float
     upper: float
-    confidence: float
-    method: CIMethod
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lower <= self.upper <= 1.0:
             raise ValueError(
                 f"need 0 <= lower <= upper <= 1, got [{self.lower}, {self.upper}]"
             )
-        check_confidence(self.confidence)
 
     @property
     def width(self) -> float:
@@ -106,16 +107,13 @@ class ConfidenceInterval:
 
 @dataclass(frozen=True, slots=True)
 class SecurityVerdict:
-    """Proceed/abort decision, with the error rate and threshold that drove it."""
+    """The error rate compared against the abort threshold, and the decision
+    that comparison gives."""
 
-    decision: Decision
     qber_used: float
     threshold: float
 
-    def __post_init__(self) -> None:
-        expected = Decision.PROCEED if self.qber_used < self.threshold else Decision.ABORT
-        if self.decision is not expected:
-            raise ValueError(
-                f"decision {self.decision} inconsistent with qber_used="
-                f"{self.qber_used} vs threshold={self.threshold}"
-            )
+    @property
+    def decision(self) -> Decision:
+        """PROCEED iff qber_used < threshold; exactly at the threshold aborts."""
+        return Decision.PROCEED if self.qber_used < self.threshold else Decision.ABORT

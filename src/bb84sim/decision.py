@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    ConfidenceInterval, Decision, QberEstimate, SecurityVerdict, bisect_root,
-    check_probability,
+    ConfidenceInterval, QberEstimate, SecurityVerdict, bisect_root, check_probability,
 )
 
 
@@ -31,11 +30,14 @@ class DecisionPolicy(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class KeyRateReport:
-    """Asymptotic key rate at a given error rate; secure iff the rate is positive."""
+    """Asymptotic key rate at some error rate."""
 
-    qber: float
     rate: float
-    secure: bool
+
+    @property
+    def secure(self) -> bool:
+        """True iff the rate is positive."""
+        return self.rate > 0.0
 
 
 def binary_entropy(q: float) -> float:
@@ -52,11 +54,10 @@ def key_rate(qber: float) -> KeyRateReport:
     A sampled error rate above 0.5 is a legitimate outcome of a small or
     fully disturbed session. The formula itself climbs back to +1 as qber
     approaches 1, which would call such a session secure, so the rate is
-    held at its value at 0.5, namely -1. The report keeps the measured qber.
+    held at its value at 0.5, namely -1.
     """
     check_probability("qber", qber)
-    rate = 1.0 - 2.0 * binary_entropy(min(qber, 0.5))
-    return KeyRateReport(qber=qber, rate=rate, secure=rate > 0.0)
+    return KeyRateReport(1.0 - 2.0 * binary_entropy(min(qber, 0.5)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -80,12 +81,10 @@ def decide(
     upper limit, so sampling uncertainty counts against proceeding. Since
     upper >= point, the upper-bound policy can only be stricter.
     """
-    threshold = threshold_root()
     if policy is DecisionPolicy.POINT_ESTIMATE:
         qber_used = estimate.point_estimate
     elif policy is DecisionPolicy.UPPER_BOUND:
         qber_used = interval.upper
     else:
         raise ValueError(f"unknown policy {policy!r}")
-    decision = Decision.PROCEED if qber_used < threshold else Decision.ABORT
-    return SecurityVerdict(decision=decision, qber_used=qber_used, threshold=threshold)
+    return SecurityVerdict(qber_used=qber_used, threshold=threshold_root())

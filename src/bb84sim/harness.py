@@ -116,7 +116,7 @@ class SweepResult:
 
 
 def _run_point_trials(config: SweepConfig, f: float, index: int,
-                      workers: int) -> list[TrialRow]:
+                      workers: int = 1) -> list[TrialRow]:
     """The config's trials at fraction f, seeded from (master seed, index)."""
 
     def job(t: int) -> TrialRow:
@@ -204,20 +204,18 @@ def run_histogram(
     channel: ChannelModel = ChannelModel.ideal(),
     master_seed: int = 42,
     bin_width: float = 0.002,
-    f_index: int = 0,
-    workers: int = 1,
 ) -> HistogramResult:
     """Distribution of per-trial QBER values at a fixed eavesdropper fraction.
 
     Bins of the given width cover [max(0, mean - 5 std), mean + 5 std],
     widened if needed so that every trial lands in some bin; when all trials
-    agree exactly (std = 0) a single bin holds them all. Pass f_index to
-    reuse the per-trial seeds of a sweep position.
+    agree exactly (std = 0) a single bin holds them all. The trials are
+    those of the first point of a sweep with the same master seed.
     """
     config = SweepConfig((f,), trials, n_qubits, sample_fraction, channel, master_seed)
-    if bin_width <= 0.0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
-    rows = _run_point_trials(config, f, f_index, workers)
+    if not 0.0 < bin_width < math.inf:
+        raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
+    rows = _run_point_trials(config, f, 0)
     values = np.array([r.qber for r in rows])
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1))
@@ -257,7 +255,6 @@ def run_finite_size_study(
     master_seed: int = 42,
     ci_method: CIMethod = CIMethod.CLOPPER_PEARSON,
     confidence: float = 0.95,
-    workers: int = 1,
 ) -> list[FiniteSizePoint]:
     """How interval width shrinks as the key grows: sweep over n at fixed f.
 
@@ -276,7 +273,7 @@ def run_finite_size_study(
     ]
     out: list[FiniteSizePoint] = []
     for n_index, config in enumerate(configs):
-        estimates = _estimates(_run_point_trials(config, f, n_index, workers))
+        estimates = _estimates(_run_point_trials(config, f, n_index))
         widths = [
             confidence_interval(e, confidence, ci_method).width for e in estimates
         ]

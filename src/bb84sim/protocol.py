@@ -146,14 +146,16 @@ class SessionResult:
     records: TransmissionLedger | None
     sifted_count: int
     estimate: QberEstimate
-    raw_key_bits: int
 
     def __post_init__(self) -> None:
         if self.records is not None and self.sifted_count != int(
                 np.count_nonzero(self.records.sifted)):
             raise ValueError("sifted_count does not match the ledger")
-        if self.estimate.compared_n + self.raw_key_bits != self.sifted_count:
-            raise ValueError("compared_n + raw_key_bits must equal sifted_count")
+
+    @property
+    def raw_key_bits(self) -> int:
+        """Sifted bits left for the key once the compared sample is spent."""
+        return self.sifted_count - self.estimate.compared_n
 
 
 def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -339,5 +341,4 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
         records=records,
         sifted_count=sifted_count,
         estimate=QberEstimate(errors_k, sample_size),
-        raw_key_bits=sifted_count - sample_size,
     )

@@ -66,9 +66,7 @@ def ci_wald(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     z = normal_quantile(confidence)
     p = est.point_estimate
     half = z * math.sqrt(p * (1.0 - p) / est.compared_n)
-    return ConfidenceInterval(
-        max(0.0, p - half), min(1.0, p + half), confidence, CIMethod.WALD
-    )
+    return ConfidenceInterval(max(0.0, p - half), min(1.0, p + half))
 
 
 def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
@@ -86,8 +84,7 @@ def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     centre = (p + z2n / 2.0) / (1.0 + z2n)
     half = (z / (1.0 + z2n)) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
     return ConfidenceInterval(
-        max(0.0, min(p, centre - half)), min(1.0, max(p, centre + half)),
-        confidence, CIMethod.WILSON,
+        max(0.0, min(p, centre - half)), min(1.0, max(p, centre + half))
     )
 
 
@@ -134,7 +131,7 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
     else:
         # P[X <= k] falls monotonically from 1 to 0.
         upper = bisect_root(lambda p: bdtr(k, n, p) >= alpha / 2.0)
-    return ConfidenceInterval(lower, upper, confidence, CIMethod.CLOPPER_PEARSON)
+    return ConfidenceInterval(lower, upper)
 
 
 def hoeffding_half_width(compared_n: int, confidence: float) -> float:
@@ -149,9 +146,7 @@ def ci_hoeffding(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     """Distribution-free interval p-hat +/- sqrt(ln(2/delta)/(2n)), clamped."""
     half = hoeffding_half_width(est.compared_n, confidence)
     p = est.point_estimate
-    return ConfidenceInterval(
-        max(0.0, p - half), min(1.0, p + half), confidence, CIMethod.HOEFFDING
-    )
+    return ConfidenceInterval(max(0.0, p - half), min(1.0, p + half))
 
 
 _CI_FUNCTIONS = {
@@ -199,8 +194,8 @@ def aggregate_trials(
     """Aggregate per-trial point estimates into mean / std / CI-of-the-mean.
 
     The interval uses the plain normal critical value (no Student-t
-    correction) and is clamped to [0, 1]. It carries the WALD tag: it is the
-    same normal approximation, applied to the Monte Carlo mean.
+    correction) and is clamped to [0, 1]: the Wald construction, applied to
+    the Monte Carlo mean rather than to one trial's k/n.
     """
     m = len(per_trial)
     check_trials(m)
@@ -209,7 +204,5 @@ def aggregate_trials(
     var = math.fsum((v - mean) ** 2 for v in values) / (m - 1)
     std = math.sqrt(var)
     half = normal_quantile(confidence) * std / math.sqrt(m)
-    ci = ConfidenceInterval(
-        max(0.0, mean - half), min(1.0, mean + half), confidence, CIMethod.WALD
-    )
+    ci = ConfidenceInterval(max(0.0, mean - half), min(1.0, mean + half))
     return TrialAggregate(trials_m=m, mean_qber=mean, std_dev=std, ci_of_mean=ci)

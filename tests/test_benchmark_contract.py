@@ -11,9 +11,11 @@ import importlib
 import importlib.util
 import io
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
+import bb84sim
 from bb84sim import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -22,6 +24,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -42,6 +45,20 @@ def test_allocation_probe_snippet_runs(monkeypatch):
         exec(snippet, namespace)
     assert namespace["config"].seed == 42
     assert set(json.loads(out.getvalue())) == {"peak_alloc_bytes", "ledger_bytes"}
+
+
+def test_interval_queries_read_every_result_attribute(monkeypatch):
+    # the interval_queries gate reads the bounds, the verdicts' qber_used,
+    # threshold and decision, and the key-rate report's rate and secure
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports its siblings
+    workloads = _load("workloads")
+    runner = workloads.QueryRunner(bb84sim)
+    k, n, conf = workloads.query_batch(7, 0, 200)
+    _, _, answers = runner.run_batch(k, n, conf)
+    outcome = workloads.Outcome()
+    runner.check(k, n, conf, answers, outcome)
+    assert outcome.correct, outcome.notes
+    assert (outcome.attempted, outcome.failed) == (200, 0)
 
 
 def test_sweep_writes_through_the_traced_format_names(monkeypatch, tmp_path, capsys):

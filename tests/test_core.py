@@ -29,41 +29,28 @@ def test_qber_estimate_validation(k, n):
 
 
 def test_confidence_interval_width():
-    ci = ConfidenceInterval(0.1, 0.3, 0.95, CIMethod.WALD)
+    ci = ConfidenceInterval(0.1, 0.3)
     assert ci.width == pytest.approx(0.2)
-    degenerate = ConfidenceInterval(0.4, 0.4, 0.95, CIMethod.WALD)
+    degenerate = ConfidenceInterval(0.4, 0.4)
     assert degenerate.width == 0.0
 
 
 @pytest.mark.parametrize(
-    "lower,upper,conf",
+    "lower,upper",
     [
-        (0.3, 0.1, 0.95),   # inverted
-        (-0.1, 0.5, 0.95),  # below 0
-        (0.5, 1.1, 0.95),   # above 1
-        (0.1, 0.2, 0.0),    # conf not in (0, 1)
-        (0.1, 0.2, 1.0),
+        (0.3, 0.1),   # inverted
+        (-0.1, 0.5),  # below 0
+        (0.5, 1.1),   # above 1
     ],
 )
-def test_confidence_interval_validation(lower, upper, conf):
+def test_confidence_interval_validation(lower, upper):
     with pytest.raises(ValueError):
-        ConfidenceInterval(lower, upper, conf, CIMethod.WILSON)
+        ConfidenceInterval(lower, upper)
 
 
 def test_security_verdict_consistency():
-    ok = SecurityVerdict(Decision.PROCEED, qber_used=0.05, threshold=0.11)
-    assert ok.decision is Decision.PROCEED
-    abort = SecurityVerdict(Decision.ABORT, qber_used=0.2, threshold=0.11)
-    assert abort.decision is Decision.ABORT
-    # exactly at threshold counts as abort
-    at = SecurityVerdict(Decision.ABORT, qber_used=0.11, threshold=0.11)
-    assert at.qber_used == at.threshold
-
-
-def test_security_verdict_rejects_contradiction():
-    with pytest.raises(ValueError):
-        SecurityVerdict(Decision.ABORT, qber_used=0.05, threshold=0.11)
-    with pytest.raises(ValueError):
-        SecurityVerdict(Decision.PROCEED, qber_used=0.2, threshold=0.11)
-    with pytest.raises(ValueError):
-        SecurityVerdict(Decision.PROCEED, qber_used=0.11, threshold=0.11)
+    """The decision is the one comparison qber_used < threshold."""
+    assert SecurityVerdict(qber_used=0.05, threshold=0.11).decision is Decision.PROCEED
+    assert SecurityVerdict(qber_used=0.2, threshold=0.11).decision is Decision.ABORT
+    # exactly at the threshold counts as abort
+    assert SecurityVerdict(qber_used=0.11, threshold=0.11).decision is Decision.ABORT

@@ -178,10 +178,11 @@ def test_histogram_respects_bin_width():
 
 
 def test_histogram_agrees_with_sweep_rows():
-    """Same f_index and master seed means the exact same trials."""
+    """A histogram runs the same trials as the first point of a sweep with
+    the same master seed."""
     config = SweepConfig(f_values=(1.0,), trials_per_f=12, n_qubits=4_000)
     rows = run_sweep(config).per_trial_rows
-    hist = run_histogram(1.0, trials=12, n_qubits=4_000, f_index=0)
+    hist = run_histogram(1.0, trials=12, n_qubits=4_000)
     values = [r.qber for r in rows]
     assert hist.mean == pytest.approx(float(np.mean(values)), abs=1e-15)
     assert hist.std == pytest.approx(float(np.std(values, ddof=1)), abs=1e-15)
@@ -202,17 +203,12 @@ def test_histogram_parameter_validation(monkeypatch):
     monkeypatch.setattr(harness, "run_session", _no_session)
     with pytest.raises(ValueError):
         run_histogram(0.5, trials=1)
-    with pytest.raises(ValueError):
-        run_histogram(0.5, trials=10, bin_width=0.0)
+    for bad_width in (0.0, -0.002, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bin_width"):
+            run_histogram(0.5, trials=10, bin_width=bad_width)
     for bad_seed in (-1, 2**64):
         with pytest.raises(ValueError, match="64 bits"):
             run_histogram(0.5, trials=10, master_seed=bad_seed)
-
-
-def test_histogram_workers_do_not_change_results():
-    a = run_histogram(0.6, trials=10, n_qubits=2_000)
-    b = run_histogram(0.6, trials=10, n_qubits=2_000, workers=4)
-    assert a == b
 
 
 # ---------------------------------------------------------------------------

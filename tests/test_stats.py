@@ -106,8 +106,6 @@ def test_wald_frozen_bounds():
     ci = ci_wald(QberEstimate(12500, 50000), 0.95)
     assert ci.lower == pytest.approx(WALD_12500_50000[0], abs=1e-12)
     assert ci.upper == pytest.approx(WALD_12500_50000[1], abs=1e-12)
-    assert ci.method is CIMethod.WALD
-    assert ci.confidence == 0.95
 
 
 def test_wald_degenerates_at_the_boundary():
@@ -140,7 +138,6 @@ def test_clopper_pearson_frozen_bounds():
         ci = ci_clopper_pearson(QberEstimate(k, n), 0.95)
         assert ci.lower == pytest.approx(lo, abs=2e-9), (k, n)
         assert ci.upper == pytest.approx(hi, abs=2e-9), (k, n)
-        assert ci.method is CIMethod.CLOPPER_PEARSON
 
 
 def _log_binom_tail_upper(k: int, n: int, p: float, log_choose) -> float:
@@ -274,10 +271,21 @@ def test_all_methods_bracket_the_point_estimate():
     for method in CIMethod:
         ci = confidence_interval(est, 0.95, method)
         assert ci.lower <= est.point_estimate <= ci.upper
-        assert ci.method is method
     hoeffding = confidence_interval(est, 0.95, CIMethod.HOEFFDING)
     for method in (CIMethod.WALD, CIMethod.WILSON, CIMethod.CLOPPER_PEARSON):
         assert hoeffding.width > confidence_interval(est, 0.95, method).width
+
+
+@pytest.mark.parametrize("method,function", [
+    (CIMethod.WALD, ci_wald),
+    (CIMethod.WILSON, ci_wilson),
+    (CIMethod.CLOPPER_PEARSON, ci_clopper_pearson),
+    (CIMethod.HOEFFDING, ci_hoeffding),
+], ids=["wald", "wilson", "clopper-pearson", "hoeffding"])
+def test_dispatch_calls_the_named_interval(method, function):
+    for k, n in ((0, 40), (7, 40), (40, 40), (6238, 25000)):
+        est = QberEstimate(k, n)
+        assert confidence_interval(est, 0.95, method) == function(est, 0.95)
 
 
 # Property checks over arbitrary (k, n, confidence).
@@ -353,8 +361,10 @@ def test_widths_grow_with_confidence():
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, 1.2])
 def test_interval_confidence_domain(bad):
-    with pytest.raises(ValueError):
-        ci_wald(QberEstimate(1, 10), bad)
+    # each construction checks its own level
+    for method in CIMethod:
+        with pytest.raises(ValueError):
+            confidence_interval(QberEstimate(1, 10), bad, method)
 
 
 # ---------------------------------------------------------------------------
