@@ -48,7 +48,7 @@ SEED_ENV_VAR = "BB84SIM_SEED"
 # Peak allocation of one run_session per qubit, for sessions of 10^5 qubits
 # and more. tracemalloc reads 20.0 B with the ledger at the default sample
 # fraction and 22.0 B as it nears 1 (the sample indices are int64). The
-# counts-only session of a sweep reads 15.0-20.0 B and 17.0-22.0 B, least
+# counts-only session of a sweep reads 16.0-20.0 B and 18.0-22.0 B, least
 # at f = 0 and p = 0, where it skips the most blocks.
 SESSION_BYTES_PER_QUBIT = 28
 
@@ -296,7 +296,8 @@ def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
         master_seed=_resolve_seed(args.seed),
         confidence=args.confidence,
     )
-    _check_memory(config.n_qubits, args.workers)
+    # a sweep runs at most one point's trials at once
+    _check_memory(config.n_qubits, min(args.workers, config.trials_per_f))
     return config
 
 

@@ -11,9 +11,11 @@ positions read back wrong for Bob.
 
 Sessions are pure functions of their config. `run_session` is vectorized over
 the whole qubit train with numpy and is the only implementation of the
-physics; tests check its ledger against the per-qubit rules. Sweeps call it
-with ledger=False, which returns the same counts without the ledger and
-skips the random blocks that cannot change them, leaving the stream as is.
+physics; tests check its ledger against the per-qubit rules. Its 0/1 blocks
+are drawn a run at a time as raw PCG64 words, byte for byte the
+`rng.integers` draws that define the stream. Sweeps call it with
+ledger=False, which returns the same counts without the ledger and skips
+the random blocks that cannot change them, leaving the stream as is.
 """
 
 from __future__ import annotations
@@ -158,18 +160,6 @@ class SessionResult:
         return self.sifted_count - self.estimate.compared_n
 
 
-def _random_bits(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform 0/1 draws as uint8, identical in values and in the
-    generator state it leaves to `rng.integers(0, 2, n, dtype=np.uint8)`.
-
-    numpy draws range-2 uint8 values by Lemire's method, which never rejects
-    (256 is even) and returns the top bit of each byte, taking the bytes
-    low-first from the same uint32 stream that `Generator.bytes` serialises
-    little-endian. Both consume ceil(n/4) uint32 words.
-    """
-    return np.frombuffer(rng.bytes(n), np.uint8) >> 7
-
-
 def _set_uint32_buffer(bitgen: np.random.PCG64, has_uint32: int, uinteger: int) -> None:
     """Set PCG64's buffered uint32 draw, which `advance` clears."""
     state = bitgen.state
@@ -188,31 +178,29 @@ def _skip_random(bitgen: np.random.PCG64, n: int) -> None:
     _set_uint32_buffer(bitgen, state["has_uint32"], state["uinteger"])
 
 
-def _skip_bytes(bitgen: np.random.PCG64, n: int) -> None:
-    """Leave `bitgen` in the state `rng.bytes(n)` would, without drawing.
+def _bit_blocks(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """k adjacent blocks of n uniform 0/1 draws, as the rows of a (k, n)
+    uint8 array: the values of k consecutive
+    `rng.integers(0, 2, n, dtype=np.uint8)` draws, leaving the generator
+    where they would.
 
-    `bytes(n)` takes ceil(n/4) uint32 draws: the buffered high half first,
-    if one is held, then both halves of each new 64-bit word, low first.
-    An odd count leaves the last word's high half buffered. `uinteger`
-    keeps that high half even once it is used, so the last word is drawn
-    for real.
+    Precondition: PCG64 holds no buffered uint32 half-word. `run_session`
+    meets it, since every block before each of its runs takes whole words.
+
+    numpy draws range-2 uint8 values by Lemire's method, which never rejects
+    (256 is even) and returns the top bit of each byte, taking the bytes of
+    ceil(n/4) uint32 draws low-first. uint32 draws are the halves of 64-bit
+    words, low half first, so from an empty buffer the k blocks are the
+    little-endian bytes of ceil(k*w/2) raw words, w = ceil(n/4). An odd
+    k*w leaves the last word's high half buffered.
     """
-    state = bitgen.state
-    has_uint32, uinteger = state["has_uint32"], state["uinteger"]
-    words = (n + 3) // 4 - has_uint32
-    if words:
-        bitgen.advance((words + 1) // 2 - 1)
-        uinteger = int(bitgen.random_raw()) >> 32
-    _set_uint32_buffer(bitgen, words % 2, uinteger)
-
-
-def _bit_block(rng: np.random.Generator, n: int, used: bool) -> np.ndarray | np.uint8:
-    """`_random_bits(rng, n)`, or, when the block is not used, the constant
-    0 after skipping it."""
-    if used:
-        return _random_bits(rng, n)
-    _skip_bytes(rng.bit_generator, n)
-    return np.uint8(0)
+    bitgen = rng.bit_generator
+    w = (n + 3) // 4
+    words = bitgen.random_raw((k * w + 1) // 2)
+    if k * w % 2:
+        _set_uint32_buffer(bitgen, 1, int(words[-1]) >> 32)
+    data = words.astype("<u8", copy=False).view(np.uint8)
+    return data[:4 * k * w].reshape(k, 4 * w)[:, :n] >> 7
 
 
 def _event_block(rng: np.random.Generator, n: int, prob: float,
@@ -281,36 +269,38 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     skipped by advancing the generator to the state the draw would leave,
     so the stream is the same either way.
 
-    The 0/1 blocks are the top bit of each byte of `rng.bytes(n)`. That is
-    what `rng.integers(0, 2, n, dtype=np.uint8)` returns, from the same
-    words, leaving the same generator state (see `_random_bits`), so every
-    output byte is the one `integers` draws would give.
+    Each 0/1 block means `rng.integers(0, 2, n, dtype=np.uint8)`. Between
+    the event blocks the 0/1 blocks come in three runs (Alice's pair, Eve's
+    pair, then the channel bits with Bob's pair), and each run is drawn at
+    once as raw PCG64 words (see `_bit_blocks`): the same values from the
+    same words, leaving the same generator state, so every output byte is
+    the one `integers` draws would give.
 
     With ledger=False the session returns only its counts, with records
     None. It skips each block that cannot change them: Eve's intercept
-    events at f = 0 or 1 and her bases and reads at f = 0, the channel's
-    events at p = 0 or 1 and its bits at p = 0. A skipped block enters the
-    physics as the constant it would have been. The counts equal the
-    ledger session's.
+    events at f = 0 or 1 and her pair at f = 0, and the channel's events at
+    p = 0 or 1. A skipped block enters the physics as the constant it would
+    have been. The counts equal the ledger session's.
 
     Raises EmptySampleError when the sample would be empty; transmit more
     qubits.
     """
     rng = np.random.default_rng(config.seed)
-    assert isinstance(rng.bit_generator, np.random.PCG64), "the skips assume PCG64"
+    assert isinstance(rng.bit_generator, np.random.PCG64), "the draws and skips assume PCG64"
     n = config.n_qubits
     f = config.eve.fraction_f
     p = config.channel.depolarizing_p
 
-    alice_bits = _random_bits(rng, n)
-    alice_bases = _random_bits(rng, n)
+    alice_bits, alice_bases = _bit_blocks(rng, n, 2)
     resent = _event_block(rng, n, f, used=ledger or 0 < f < 1)
-    eve_bases = _bit_block(rng, n, used=ledger or f > 0)
-    eve_draws = _bit_block(rng, n, used=ledger or f > 0)
+    if ledger or f > 0:
+        eve_bases, eve_draws = _bit_blocks(rng, n, 2)
+    else:
+        # a pair of blocks is 2 * ceil(n/4) uint32 draws: ceil(n/4) words
+        _skip_random(rng.bit_generator, (n + 3) // 4)
+        eve_bases = eve_draws = np.uint8(0)
     depolarized = _event_block(rng, n, p, used=ledger or 0 < p < 1)
-    channel_draws = _bit_block(rng, n, used=ledger or p > 0)
-    bob_bases = _random_bits(rng, n)
-    bob_draws = _random_bits(rng, n)
+    channel_draws, bob_bases, bob_draws = _bit_blocks(rng, n, 3)
 
     sifted = alice_bases == bob_bases
     sifted_count, sample_idx = _sample(rng, sifted, config.sample_fraction)

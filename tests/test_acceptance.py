@@ -11,11 +11,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from bb84sim.cli import _f_grid, format_aggregate_csv, format_trials_csv
-from bb84sim.core import QberEstimate
+from bb84sim.core import CIMethod, QberEstimate
 from bb84sim.harness import SweepConfig, run_finite_size_study, run_histogram, run_sweep
-from bb84sim.stats import ci_clopper_pearson, ci_wilson, hoeffding_half_width
+from bb84sim.protocol import ChannelModel
+from bb84sim.stats import (
+    ci_clopper_pearson, ci_wilson, confidence_interval, hoeffding_half_width,
+)
 from bb84sim.decision import key_rate, threshold_root
 
 from test_stats import _cp_oracle
@@ -200,4 +204,55 @@ def test_acceptance_8_determinism(default_sweep):
         8, "repeat and parallel runs emit identical, golden bytes", ok,
         f"repeat identical = {repeat_same}, workers 1 vs 8 identical = {workers_same}, "
         f"seed-42 sha256 golden = {golden}",
+    )
+
+
+def _randomized_pit(x, n, prob, v):
+    """F(x - 1) + v * P(X = x) for X ~ Binomial(n, prob): exactly Uniform(0, 1)
+    when x follows that law and v is an independent uniform."""
+    below = scipy.stats.binom.cdf(x - 1, n, prob)
+    return below + v * (scipy.stats.binom.cdf(x, n, prob) - below)
+
+
+def test_acceptance_9_trials_follow_the_binomial_law():
+    """Per sifted qubit the error probability is q = f/4 + p/2 * (1 - f/2),
+    independently, and the sample is chosen blind to errors, so errors_k is
+    exactly Binomial(compared_n, q) and sifted_count Binomial(n_qubits, 1/2).
+    A KS test of their randomized probability-integral transforms checks the
+    whole law, variance included, not only the mean; the intervals must
+    then cover q as they would on true binomial draws."""
+    p, confidence = 0.05, 0.95
+    config = SweepConfig(f_values=_f_grid(0.0, 1.0, 0.05), trials_per_f=40,
+                         n_qubits=4_000, channel=ChannelModel.depolarizing(p))
+    rows = run_sweep(config).per_trial_rows
+    f = np.array([r.f for r in rows])
+    q = f / 4 + p / 2 * (1 - f / 2)
+    errors = np.array([r.errors_k for r in rows])
+    compared = np.array([r.compared_n for r in rows])
+    sifted = np.array([r.sifted_count for r in rows])
+    v = np.random.default_rng(20260914).random((2, len(rows)))
+    ks_errors = scipy.stats.kstest(_randomized_pit(errors, compared, q, v[0]), "uniform").pvalue
+    ks_sifted = scipy.stats.kstest(
+        _randomized_pit(sifted, config.n_qubits, 0.5, v[1]), "uniform").pvalue
+
+    coverage = {}
+    for method in CIMethod:
+        cis = [confidence_interval(QberEstimate(int(k), int(n)), confidence, method)
+               for k, n in zip(errors, compared)]
+        coverage[method] = np.mean([ci.lower <= qi <= ci.upper for ci, qi in zip(cis, q)])
+    slack = 3 * math.sqrt(confidence * (1 - confidence) / len(rows))
+    # Clopper-Pearson and Hoeffding guarantee the level; Wald and Wilson
+    # approximate it, to within 0.01 here as in acceptance 5.
+    exact = (CIMethod.CLOPPER_PEARSON, CIMethod.HOEFFDING)
+    covered = all(
+        coverage[m] >= confidence - slack if m in exact
+        else abs(coverage[m] - confidence) <= 0.01 + slack
+        for m in CIMethod
+    )
+    ok = ks_errors > 1e-3 and ks_sifted > 1e-3 and covered
+    _report(
+        9, f"{len(rows)} simulated trials follow the binomial law", ok,
+        f"KS p errors_k = {ks_errors:.3f}, sifted_count = {ks_sifted:.3f} (> 0.001); "
+        + ", ".join(f"{m.value} coverage = {c:.4f}" for m, c in coverage.items())
+        + f" (Monte Carlo slack {slack:.4f})",
     )

@@ -130,6 +130,9 @@ def _no_session(*args, **kwargs):
 @pytest.mark.parametrize("argv, need", [
     (["trial", "--qubits", "1000"], 1000 * cli.SESSION_BYTES_PER_QUBIT),
     (["sweep", "--qubits", "1000", "--workers", "3"], 3 * 1000 * cli.SESSION_BYTES_PER_QUBIT),
+    # no more sessions run at once than a point has trials
+    (["sweep", "--f-step", "0.5", "--trials", "2", "--qubits", "1000", "--workers", "100000"],
+     2 * 1000 * cli.SESSION_BYTES_PER_QUBIT),
 ])
 def test_session_too_large_for_the_host_is_a_usage_error(
         argv, need, monkeypatch, tmp_path, capsys):
@@ -140,6 +143,7 @@ def test_session_too_large_for_the_host_is_a_usage_error(
     assert code == 1
     assert out == ""
     assert f"needs about {need} bytes" in err and "20000 bytes" in err
+    assert f"{need // (1000 * cli.SESSION_BYTES_PER_QUBIT)} session(s) at once" in err
     assert not list(tmp_path.iterdir())
 
 

@@ -4,8 +4,10 @@ one-qubit-at-a-time reference that reproduces them.
 Each digest is a sha256 over every ledger column's dtype and raw bytes,
 followed by (sifted_count, errors_k, compared_n). Any change to the random
 stream, its block order or the per-qubit physics changes a digest, so a
-speed-up that claims to be byte-identical is checked here first. The odd
-qubit counts leave PCG64 holding a buffered half-word between blocks.
+speed-up that claims to be byte-identical is checked here first. At
+n = 1,001 and 50,001, ceil(n/4) is odd: `integers` draws of the 0/1 blocks
+leave PCG64 holding a buffered half-word between blocks, and the session's
+last run of three blocks leaves one for the sample choice.
 """
 
 import hashlib
@@ -18,8 +20,7 @@ from bb84sim.protocol import (
     ChannelModel,
     EveStrategy,
     SessionConfig,
-    _random_bits,
-    _skip_bytes,
+    _bit_blocks,
     _skip_random,
     run_session,
 )
@@ -71,37 +72,54 @@ def test_session_bytes_are_golden(f, p, n):
     assert session_digest(f, p, n) == GOLDEN[(f, p, n)]
 
 
-# n = 1..17 covers every remainder mod 4 and mod 8 around a few words.
-@pytest.mark.parametrize("n", [*range(1, 18), 1_001, 49_999, 50_000, 50_001])
+def _uint32_buffer(bitgen):
+    """PCG64's state with its uint32 buffer as it affects later draws: the
+    `uinteger` a used half-word leaves behind is stale and never read."""
+    state = bitgen.state
+    return state["state"], state["has_uint32"], state["uinteger"] if state["has_uint32"] else None
+
+
+# n = 1..40 covers every remainder mod 4 and mod 8 around a few words, and
+# k * ceil(n/4) of either parity for each k.
+@pytest.mark.parametrize("n", [*range(1, 41), 999, 1_000, 1_001, 49_999, 50_000, 50_001])
 @pytest.mark.parametrize("earlier", [0, 3], ids=["fresh", "after-odd-draw"])
 def test_random_bits_match_integers_draw(n, earlier):
-    """`_random_bits` is `rng.integers(0, 2, n, dtype=np.uint8)` in values,
-    dtype and the generator state it leaves, also when an earlier odd-length
-    draw left PCG64 holding a buffered half-word."""
-    ref, rng = np.random.default_rng(2024), np.random.default_rng(2024)
-    for gen in (ref, rng):
-        gen.integers(0, 2, earlier, dtype=np.uint8)
-    expected = ref.integers(0, 2, n, dtype=np.uint8)
-    got = _random_bits(rng, n)
-    assert got.dtype == expected.dtype
-    assert np.array_equal(got, expected)
-    assert rng.bit_generator.state == ref.bit_generator.state
+    """Each row of `_bit_blocks(rng, n, k)`, k = 1, 2, 3, is the matching one
+    of k consecutive `rng.integers(0, 2, n, dtype=np.uint8)` draws, and the
+    generator is left where those draws leave it: the same state and uint32
+    buffer, and the same next `integers`, `random` and `choice` draws.
+
+    `run_session` calls the helper on a fresh generator or after
+    `rng.random(n)`, which takes whole words and so leaves the buffer empty,
+    as the helper requires; `earlier` = 3 doubles stands for the latter."""
+    for k in (1, 2, 3):
+        ref, rng = np.random.default_rng(2024), np.random.default_rng(2024)
+        for gen in (ref, rng):
+            gen.random(earlier)
+        expected = np.stack([ref.integers(0, 2, n, dtype=np.uint8) for _ in range(k)])
+        got = _bit_blocks(rng, n, k)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected), k
+        assert _uint32_buffer(rng.bit_generator) == _uint32_buffer(ref.bit_generator), k
+        for draw in (lambda gen: gen.integers(0, 2**20, 5), lambda gen: gen.random(3),
+                     lambda gen: gen.choice(n + 7, size=5, replace=False)):
+            assert np.array_equal(draw(rng), draw(ref)), k
 
 
 @pytest.mark.parametrize("n", [*range(1, 18), 1_001, 49_999, 50_000, 50_001])
 @pytest.mark.parametrize("earlier", [0, 3, 5], ids=["fresh", "after-odd-draw", "after-used-half-word"])
-@pytest.mark.parametrize("draw, skip", [("bytes", _skip_bytes), ("random", _skip_random)],
-                         ids=["bytes", "random"])
-def test_skip_leaves_the_state_of_the_draw(n, earlier, draw, skip):
-    """Skipping `rng.bytes(n)` or `rng.random(n)` leaves the whole
-    `bit_generator.state` the draw leaves: the 128-bit state, and the uint32
-    buffer, whether it holds a half-word (after 3 leading bytes) or not, and
-    the `uinteger` a used half-word leaves behind (after 5)."""
+# `_skip_random` is the only skip left; each case keeps its id.
+@pytest.mark.parametrize("draw", ["random"])
+def test_skip_leaves_the_state_of_the_draw(n, earlier, draw):
+    """Skipping `rng.random(n)` leaves the whole `bit_generator.state` the
+    draw leaves: the 128-bit state, and the uint32 buffer, whether it holds
+    a half-word (after 3 leading bytes) or not, and the `uinteger` a used
+    half-word leaves behind (after 5)."""
     ref, rng = np.random.default_rng(2024), np.random.default_rng(2024)
     for gen in (ref, rng):
         gen.integers(0, 2, earlier, dtype=np.uint8)
     getattr(ref, draw)(n)
-    skip(rng.bit_generator, n)
+    _skip_random(rng.bit_generator, n)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
