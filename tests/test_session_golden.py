@@ -79,6 +79,14 @@ def _uint32_buffer(bitgen):
     return state["state"], state["has_uint32"], state["uinteger"] if state["has_uint32"] else None
 
 
+# Draws after which the generator must agree, read through its uint32 buffer.
+NEXT_DRAWS = (
+    lambda gen, n: gen.integers(0, 2**20, 5),
+    lambda gen, n: gen.random(3),
+    lambda gen, n: gen.choice(n + 7, size=5, replace=False),
+)
+
+
 # n = 1..40 covers every remainder mod 4 and mod 8 around a few words, and
 # k * ceil(n/4) of either parity for each k.
 @pytest.mark.parametrize("n", [*range(1, 41), 999, 1_000, 1_001, 49_999, 50_000, 50_001])
@@ -101,26 +109,55 @@ def test_random_bits_match_integers_draw(n, earlier):
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected), k
         assert _uint32_buffer(rng.bit_generator) == _uint32_buffer(ref.bit_generator), k
-        for draw in (lambda gen: gen.integers(0, 2**20, 5), lambda gen: gen.random(3),
-                     lambda gen: gen.choice(n + 7, size=5, replace=False)):
-            assert np.array_equal(draw(rng), draw(ref)), k
+        for draw in NEXT_DRAWS:
+            assert np.array_equal(draw(rng, n), draw(ref, n)), k
+
+
+# Each draw and the skip that stands for it. `random` is one `rng.random(n)`
+# block. `bytes` is a pair of 0/1 blocks, whose uint32 words two
+# `rng.bytes(n)` draws take, skipped as `run_session` skips Eve's pair at
+# f = 0: as ceil(n/4) whole 64-bit words.
+DRAWS_AND_SKIPS = {
+    "random": (lambda gen, n: gen.random(n), _skip_random),
+    "bytes": (lambda gen, n: (gen.bytes(n), gen.bytes(n)),
+              lambda bitgen, n: _skip_random(bitgen, (n + 3) // 4)),
+}
+
+# The states a skip starts from. 3 leading bytes leave a buffered half-word
+# and 5 leave a used one. A pair is only skipped from an empty buffer, after
+# whole-word draws, so its odd earlier draw is of 3 doubles instead.
+EARLIER_DRAWS = {
+    "fresh": lambda gen, draw: None,
+    "after-odd-draw": lambda gen, draw: (
+        gen.random(3) if draw == "bytes" else gen.integers(0, 2, 3, dtype=np.uint8)),
+    "after-used-half-word": lambda gen, draw: gen.integers(0, 2, 5, dtype=np.uint8),
+}
 
 
 @pytest.mark.parametrize("n", [*range(1, 18), 1_001, 49_999, 50_000, 50_001])
-@pytest.mark.parametrize("earlier", [0, 3, 5], ids=["fresh", "after-odd-draw", "after-used-half-word"])
-# `_skip_random` is the only skip left; each case keeps its id.
-@pytest.mark.parametrize("draw", ["random"])
+@pytest.mark.parametrize("earlier", list(EARLIER_DRAWS))
+@pytest.mark.parametrize("draw", ["bytes", "random"])
 def test_skip_leaves_the_state_of_the_draw(n, earlier, draw):
-    """Skipping `rng.random(n)` leaves the whole `bit_generator.state` the
-    draw leaves: the 128-bit state, and the uint32 buffer, whether it holds
-    a half-word (after 3 leading bytes) or not, and the `uinteger` a used
-    half-word leaves behind (after 5)."""
+    """Each skip leaves the generator where its draw does, and the next
+    `integers`, `random` and `choice` draws agree.
+
+    Skipping `rng.random(n)` leaves the whole `bit_generator.state`: the
+    128-bit state and the uint32 buffer, whether it holds a half-word or
+    not, down to the `uinteger` a used half-word leaves behind. Skipping a
+    pair of 0/1 blocks leaves the 128-bit state and an empty buffer; the
+    pair's draws leave the last word's high half as a stale `uinteger`,
+    which no draw reads and a skip of whole words does not write."""
     ref, rng = np.random.default_rng(2024), np.random.default_rng(2024)
     for gen in (ref, rng):
-        gen.integers(0, 2, earlier, dtype=np.uint8)
-    getattr(ref, draw)(n)
-    _skip_random(rng.bit_generator, n)
-    assert rng.bit_generator.state == ref.bit_generator.state
+        EARLIER_DRAWS[earlier](gen, draw)
+    take, skip = DRAWS_AND_SKIPS[draw]
+    take(ref, n)
+    skip(rng.bit_generator, n)
+    if draw == "random":
+        assert rng.bit_generator.state == ref.bit_generator.state
+    assert _uint32_buffer(rng.bit_generator) == _uint32_buffer(ref.bit_generator)
+    for next_draw in NEXT_DRAWS:
+        assert np.array_equal(next_draw(rng, n), next_draw(ref, n))
 
 
 def reference_session(f, p, n, sample_fraction=0.5, seed=42):
