@@ -8,9 +8,9 @@ accuracy/robustness trade-offs for a binomial proportion:
   standard, degenerates to a zero-width interval at k = 0 or k = n.
 * Wilson -- score interval with the centre shrunk toward 1/2; much better
   small-sample coverage than Wald.
-* Clopper-Pearson -- exact interval by inversion of the binomial tails;
-  coverage is guaranteed to be at least nominal, at the price of
-  conservatism.
+* Clopper-Pearson -- exact interval by inversion of the binomial tails,
+  computed as beta quantiles; coverage is guaranteed to be at least
+  nominal, at the price of conservatism.
 * Hoeffding -- distribution-free concentration bound of half-width
   sqrt(ln(2/delta) / (2n)); the widest of the four, but valid for any
   bounded error process regardless of sample size.
@@ -19,10 +19,11 @@ All functions are pure. The standard-normal quantile comes from the standard
 library's `statistics.NormalDist`, which implements Wichura's algorithm AS 241
 (PPND16); `statistics` is imported on the first quantile, not with this module.
 
-Only Clopper-Pearson needs scipy, for the binomial tails `bdtr` and `bdtrc`.
-Importing `scipy.special` takes about 0.3 s, so it happens on the first
-Clopper-Pearson call or the first access to `stats.bdtr`/`stats.bdtrc`, not
-when this module is imported.
+Only Clopper-Pearson needs scipy: the beta quantile `betaincinv` gives each
+bound, and the binomial tails `bdtr` and `bdtrc` check it. Importing
+`scipy.special` takes about 0.3 s, so it happens on the first Clopper-Pearson
+call or the first access to `stats.betaincinv`, `stats.bdtr` or `stats.bdtrc`,
+not when this module is imported.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
-    CIMethod, ConfidenceInterval, QberEstimate,
+    BISECT_TOL, CIMethod, ConfidenceInterval, QberEstimate,
     bisect_root, check_compared_n, check_confidence, check_probability,
 )
 
@@ -88,22 +89,34 @@ def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     )
 
 
-def _bind_tails() -> None:
-    """Import scipy's binomial tails into this module's globals, keeping any
-    binding already there (a counting wrapper set with setattr)."""
-    from scipy.special import bdtr, bdtrc
+_SPECIAL = frozenset(("betaincinv", "bdtr", "bdtrc"))
+
+
+def _bind_special() -> None:
+    """Import scipy's beta quantile and binomial tails into this module's
+    globals, keeping any binding already there (a wrapper set with setattr)."""
+    import scipy.special
 
     namespace = globals()
-    namespace.setdefault("bdtr", bdtr)
-    namespace.setdefault("bdtrc", bdtrc)
+    for name in _SPECIAL:
+        namespace.setdefault(name, getattr(scipy.special, name))
 
 
 def __getattr__(name: str):
-    # PEP 562: reached only while a tail is not yet bound.
-    if name in ("bdtr", "bdtrc"):
-        _bind_tails()
+    # PEP 562: reached only while a scipy function is not yet bound.
+    if name in _SPECIAL:
+        _bind_special()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _certified(root_above: Callable[[float], bool], guess: float) -> float:
+    """guess, if the root of the monotone predicate root_above lies within
+    BISECT_TOL of it; otherwise the root by bisection. The check always
+    evaluates both sides, so it costs two evaluations whatever it finds."""
+    below = root_above(max(guess - BISECT_TOL, 0.0))
+    above = root_above(min(guess + BISECT_TOL, 1.0))
+    return guess if below and not above else bisect_root(root_above)
 
 
 def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
@@ -111,26 +124,40 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
 
     lower is the p at which P[Bin(n, p) >= k] = alpha/2 (0 when k = 0) and
     upper the p at which P[Bin(n, p) <= k] = alpha/2 (1 when k = n). Both are
-    found by bisection to an absolute tolerance of 1e-9; the binomial tails
-    come from scipy's bdtr/bdtrc, imported on the first call. Each evaluation
-    looks them up as this module's globals, so a wrapper set on `stats.bdtr`
-    or `stats.bdtrc` sees every call.
+    beta quantiles (Brown, Cai & DasGupta 2001): lower =
+    betaincinv(k, n - k + 1, alpha/2) and upper =
+    1 - betaincinv(n - k, k + 1, alpha/2), the form that never rounds
+    1 - alpha/2.
+
+    Each bound is then checked with two tail evaluations, one BISECT_TOL
+    either side: the tail must cross alpha/2 between them, so the bound lies
+    within 1e-9 of the root whatever scipy's quantile does. Only a bound that
+    fails the check is found by bisection instead, to the same tolerance.
+    scipy's betaincinv, bdtr and bdtrc are imported on the first call. Each
+    evaluation looks them up as this module's globals, so a wrapper set on
+    `stats.bdtr` or `stats.bdtrc` sees every call.
     """
     check_confidence(confidence)
-    if "bdtr" not in globals() or "bdtrc" not in globals():
-        _bind_tails()
-    alpha = 1.0 - confidence
+    if not globals().keys() >= _SPECIAL:
+        _bind_special()
+    half_alpha = (1.0 - confidence) / 2.0
     k, n = est.errors_k, est.compared_n
     if k == 0:
         lower = 0.0
     else:
         # P[X >= k] grows monotonically from 0 to 1 as p sweeps [0, 1].
-        lower = bisect_root(lambda p: bdtrc(k - 1, n, p) < alpha / 2.0)
+        lower = _certified(
+            lambda p: bdtrc(k - 1, n, p) < half_alpha,
+            float(betaincinv(k, n - k + 1, half_alpha)),
+        )
     if k == n:
         upper = 1.0
     else:
         # P[X <= k] falls monotonically from 1 to 0.
-        upper = bisect_root(lambda p: bdtr(k, n, p) >= alpha / 2.0)
+        upper = _certified(
+            lambda p: bdtr(k, n, p) >= half_alpha,
+            1.0 - float(betaincinv(n - k, k + 1, half_alpha)),
+        )
     return ConfidenceInterval(lower, upper)
 
 

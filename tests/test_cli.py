@@ -18,6 +18,7 @@ from bb84sim.cli import (
 )
 from bb84sim.harness import TrialRow
 from bb84sim.protocol import ChannelModel, EveStrategy, SessionConfig, run_session
+from test_stats import _cp_oracle
 
 # written out here, not taken from the package, so a reordered or renamed
 # field fails a test
@@ -202,6 +203,16 @@ def test_ci_report_at_zero_errors(monkeypatch, tmp_path, capsys):
     assert "0.036993" in out   # score interval upper bound
     assert "0.036217" in out   # exact interval upper bound
     assert "0.135810" in out   # concentration-bound half-width
+
+
+def test_ci_report_rounds_the_exact_bound_as_the_oracle_does(monkeypatch, tmp_path, capsys):
+    # The exact lower bound is 0.1324035000947, half a unit of the 6th decimal
+    # away from a rounding boundary; a bound that is only within 1e-9 of it
+    # can print 0.132403.
+    _, out, _ = run_cli(["ci", "--k", "23", "--n", "114"], monkeypatch, tmp_path, capsys)
+    assert "clopper-pearson  [0.132404, 0.287190]" in out
+    lower, upper = _cp_oracle(23, 114)
+    assert (f"{lower:.6f}", f"{upper:.6f}") == ("0.132404", "0.287190")
 
 
 def test_ci_report_brackets_the_midpoint(monkeypatch, tmp_path, capsys):

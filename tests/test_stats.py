@@ -3,11 +3,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from bb84sim import stats
-from bb84sim.core import CIMethod, QberEstimate
+from bb84sim.core import BISECT_TOL, CIMethod, QberEstimate, bisect_root
 from bb84sim.stats import (
     aggregate_trials,
     ci_clopper_pearson,
@@ -198,9 +199,8 @@ def test_clopper_pearson_matches_scratch_oracle():
         assert ours.upper == pytest.approx(hi, abs=5e-9), k
 
 
-def test_clopper_pearson_reads_the_tails_through_the_module(monkeypatch):
-    # The benchmark counts tail evaluations by wrapping stats.bdtr/bdtrc;
-    # tails bound to local names would leave that count at 0.
+def _count_tails(monkeypatch) -> Counter:
+    """Wrap stats.bdtr/bdtrc as the benchmark does, counting every call."""
     for name in ("bdtr", "bdtrc"):
         monkeypatch.delitem(vars(stats), name, raising=False)  # as if never used
     calls = Counter()
@@ -212,9 +212,93 @@ def test_clopper_pearson_reads_the_tails_through_the_module(monkeypatch):
             return tail(*args)
 
         monkeypatch.setattr(stats, name, counted)
+    return calls
+
+
+def _miss_the_quantile(monkeypatch) -> None:
+    """Put every beta quantile 1e-6 off, so that no bound passes its check."""
+    quantile = stats.betaincinv
+    monkeypatch.setattr(stats, "betaincinv", lambda a, b, y: quantile(a, b, y) + 1e-6)
+
+
+def test_clopper_pearson_reads_the_tails_through_the_module(monkeypatch):
+    # The benchmark counts tail evaluations by wrapping stats.bdtr/bdtrc;
+    # tails bound to local names would leave that count at 0.
+    calls = _count_tails(monkeypatch)
     ci_clopper_pearson(QberEstimate(3, 100), 0.95)
-    # each bisection halves [0, 1] until it is below 1e-9: 2**-30 < 1e-9
-    assert calls == {"bdtr": 30, "bdtrc": 30}
+    # each bound is checked by one tail evaluation either side of it
+    assert calls == {"bdtr": 2, "bdtrc": 2}
+
+
+@pytest.mark.parametrize("k, n, confidence", [
+    (3, 100, 0.95), (0, 10, 0.999), (10, 10, 0.9), (250_000, 1_000_000, 0.99),
+])
+def test_clopper_pearson_bisects_a_bound_that_fails_its_check(
+    monkeypatch, k, n, confidence
+):
+    calls = _count_tails(monkeypatch)
+    _miss_the_quantile(monkeypatch)
+    ci = ci_clopper_pearson(QberEstimate(k, n), confidence)
+    # the check's two evaluations, then 30 halvings: 2**-30 < 1e-9
+    assert calls == Counter(bdtrc=32 * (k > 0), bdtr=32 * (k < n))
+    half_alpha = (1.0 - confidence) / 2.0
+    lower = 0.0 if k == 0 else bisect_root(
+        lambda p: scipy.special.bdtrc(k - 1, n, p) < half_alpha)
+    upper = 1.0 if k == n else bisect_root(
+        lambda p: scipy.special.bdtr(k, n, p) >= half_alpha)
+    assert (ci.lower, ci.upper) == (lower, upper)
+
+
+def _brackets(tail, bound: float, half_alpha: float) -> bool:
+    """True when the monotone tail crosses half_alpha within BISECT_TOL of bound."""
+    left = tail(max(bound - BISECT_TOL, 0.0))
+    right = tail(min(bound + BISECT_TOL, 1.0))
+    return min(left, right) <= half_alpha <= max(left, right)
+
+
+CP_GRID_N = (1, 2, 3, 4, 5, 10, 30, 57, 100, 120)
+CP_GRID_CONFIDENCES = (0.9, 0.95, 0.99, 0.999)
+
+
+@pytest.mark.parametrize("miss", [False, True], ids=["quantile", "bisection"])
+def test_clopper_pearson_bounds_lie_within_the_tolerance_of_their_roots(
+    monkeypatch, miss
+):
+    """Every bound, whichever way it was found, is within BISECT_TOL of the
+    root of its tail equation. Up to n = 120 the tails are the scratch
+    oracle's log-space sums. At n = 10^6, where those sums are slow, and at
+    confidence 1 - 1e-9 they are scipy's betainc, as in the benchmark's
+    oracle."""
+    if miss:
+        _miss_the_quantile(monkeypatch)
+    cases = [(k, n, c, "sum") for n in CP_GRID_N for k in range(n + 1)
+             for c in CP_GRID_CONFIDENCES]
+    cases += [(k, n, 1.0 - 1e-9, "betainc") for n in CP_GRID_N for k in range(n + 1)]
+    cases += [(k, 10**6, c, "betainc")
+              for k in (0, 1, 1_000, 110_000, 500_000, 10**6 - 1, 10**6)
+              for c in CP_GRID_CONFIDENCES + (1.0 - 1e-9,)]
+    for k, n, confidence, tails in cases:
+        ci = ci_clopper_pearson(QberEstimate(k, n), confidence)
+        half_alpha = (1.0 - confidence) / 2.0
+        if tails == "sum":
+            log_choose = [
+                math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                for i in range(n + 1)
+            ]
+            at_least = lambda p: _log_binom_tail_lower(k, n, p, log_choose)
+            at_most = lambda p: _log_binom_tail_upper(k, n, p, log_choose)
+        else:
+            at_least = lambda p: scipy.special.betainc(k, n - k + 1, p)
+            at_most = lambda p: scipy.special.betainc(n - k, k + 1, 1.0 - p)
+        case = (k, n, confidence)
+        if k == 0:
+            assert ci.lower == 0.0, case
+        else:
+            assert _brackets(at_least, ci.lower, half_alpha), case
+        if k == n:
+            assert ci.upper == 1.0, case
+        else:
+            assert _brackets(at_most, ci.upper, half_alpha), case
 
 
 def test_clopper_pearson_exact_coverage_is_at_least_nominal():
