@@ -18,14 +18,20 @@ identical numbers.
 
 The default master seed is 42; the BB84SIM_SEED environment variable
 overrides it, and an explicit --seed flag overrides both.
+
+`csv` is imported by `format_csv` and `parse_csv` and `json` by
+`format_json`, so `threshold` loads neither, nor does `trial` with a
+`--ci` other than clopper-pearson (scipy imports both). numpy, scipy and
+the thread pool are imported where the package runs them (see protocol,
+harness and stats). The bb84sim modules themselves are imported here at the
+top: they load with the package anyway, and handlers look up `run_session`
+and `run_sweep` as module globals.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from dataclasses import fields
@@ -99,6 +105,8 @@ def _cell_function(row_type: type, float_format: Callable) -> Callable[[object],
 
 def format_csv(row_type: type, rows: Sequence) -> str:
     """A header of the column names, then one line per row; floats 6-decimal."""
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(name for name, _ in columns(row_type))
@@ -108,6 +116,8 @@ def format_csv(row_type: type, rows: Sequence) -> str:
 
 def parse_csv(row_type: type, text: str) -> list:
     """Rows of a file written by format_csv; format_csv reproduces its bytes."""
+    import csv
+
     cols = columns(row_type)
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
@@ -118,6 +128,8 @@ def parse_csv(row_type: type, text: str) -> list:
 
 def format_json(schema: str, row_type: type, rows: Sequence) -> str:
     """JSON with the CSV's columns; floats are rounded to the CSV's 6 decimals."""
+    import json
+
     names = [name for name, _ in columns(row_type)]
     cells = _cell_function(row_type, _JSON_FLOAT)
     payload = {

@@ -5,16 +5,18 @@ Every trial gets its own seed derived from (master_seed, point index, trial
 index) with a SplitMix64-style mixer, so trials are independent, reorderable,
 and parallelizable: results are keyed by their indices, never by completion
 order, and the output is identical for any worker count.
+
+numpy is imported by the histogram and finite-size runners that call it,
+and `ThreadPoolExecutor` only when a point runs on more than one worker, so
+a 1-worker sweep never loads `concurrent.futures`. The module itself still
+loads with the package, as every bb84sim module does (see protocol).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .core import CIMethod, QberEstimate, check_confidence, check_probability
 from .protocol import (
@@ -145,6 +147,8 @@ def _run_point_trials(config: SweepConfig, f: float, index: int,
         )
 
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(job, range(config.trials_per_f)))
     return [job(t) for t in range(config.trials_per_f)]
@@ -212,6 +216,8 @@ def run_histogram(
     agree exactly (std = 0) a single bin holds them all. The trials are
     those of the first point of a sweep with the same master seed.
     """
+    import numpy as np
+
     config = SweepConfig((f,), trials, n_qubits, sample_fraction, channel, master_seed)
     if not 0.0 < bin_width < math.inf:
         raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
@@ -262,6 +268,8 @@ def run_finite_size_study(
     interval on that trial's own (k, n) estimate; the per-trial reading is
     what makes "shorter keys give wider intervals" directly visible.
     """
+    import numpy as np
+
     if not n_values:
         raise ValueError("n_values must be non-empty")
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
