@@ -54,9 +54,15 @@ SEED_ENV_VAR = "BB84SIM_SEED"
 # Peak allocation of one run_session per qubit, for sessions of 10^5 qubits
 # and more. tracemalloc reads 20.0 B with the ledger at the default sample
 # fraction and 22.0 B as it nears 1 (the sample indices are int64). The
-# counts-only session of a sweep reads 16.0-20.0 B and 18.0-22.0 B, least
+# counts-only session of a sweep reads 14.0-19.0 B and 16.0-21.0 B, least
 # at f = 0 and p = 0, where it skips the most blocks.
 SESSION_BYTES_PER_QUBIT = 28
+
+# Peak allocation of a sweep per per-trial row: run_sweep, then both files
+# formatted. tracemalloc reads 2.06-2.19 kB a row for JSON and 0.36-0.60 kB
+# for CSV over grids of 100-2,000 points, most at 2 trials a point, where
+# each trial row also carries half an aggregate row.
+TRIAL_ROW_BYTES = 2_400
 
 _CI_CHOICES = tuple(m.value for m in CIMethod)
 _POLICY_CHOICES = tuple(p.value for p in DecisionPolicy)
@@ -248,11 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 
 
-def _f_grid(start: float, end: float, step: float) -> tuple[float, ...]:
+def _f_grid(start: float, end: float, step: float,
+            trials: int = 1) -> tuple[float, ...]:
     """start, start + step, ... while the value does not pass end.
 
     The arithmetic is decimal on the flags' shortest float reprs, so 0.3 is
-    0.3 with no floating-point crumbs and no value lands past end.
+    0.3 with no floating-point crumbs and no value lands past end. Raises
+    ValueError, before any value is built, when the grid's per-trial rows,
+    `trials` a point, would need more than the host's physical memory.
     """
     from decimal import Decimal  # only sweeps build a grid
 
@@ -264,6 +273,14 @@ def _f_grid(start: float, end: float, step: float) -> tuple[float, ...]:
         raise ValueError("--f-end must not be less than --f-start")
     first, stop, delta = (Decimal(repr(x)) for x in (start, end, step))
     count = int((stop - first) / delta) + 1
+    need = count * trials * TRIAL_ROW_BYTES
+    limit = _physical_memory()
+    if limit is not None and 0 < limit < need:
+        raise ValueError(
+            f"--f-step {step} gives {count} points; at --trials {trials} their "
+            f"per-trial rows need about {need} bytes ({TRIAL_ROW_BYTES} B per row), "
+            f"more than the {limit} bytes of physical memory on this host"
+        )
     return (start,) + tuple(float(first + i * delta) for i in range(1, count))
 
 
@@ -299,8 +316,10 @@ def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
     out_dir = os.path.dirname(args.out)
     if out_dir and not os.path.isdir(out_dir):
         raise ValueError(f"--out directory {out_dir!r} does not exist")
+    # a sweep runs at most one point's trials at once
+    _check_memory(args.qubits, min(args.workers, args.trials))
     config = SweepConfig(
-        f_values=_f_grid(args.f_start, args.f_end, args.f_step),
+        f_values=_f_grid(args.f_start, args.f_end, args.f_step, args.trials),
         trials_per_f=args.trials,
         n_qubits=args.qubits,
         sample_fraction=args.sample_fraction,
@@ -308,8 +327,6 @@ def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
         master_seed=_resolve_seed(args.seed),
         confidence=args.confidence,
     )
-    # a sweep runs at most one point's trials at once
-    _check_memory(config.n_qubits, min(args.workers, config.trials_per_f))
     return config
 
 

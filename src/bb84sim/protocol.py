@@ -15,7 +15,7 @@ physics; tests check its ledger against the per-qubit rules. Its 0/1 blocks
 are drawn a run at a time as raw PCG64 words, byte for byte the
 `rng.integers` draws that define the stream. Sweeps call it with
 ledger=False, which returns the same counts without the ledger and skips
-the random blocks that cannot change them, leaving the stream as is.
+the random blocks no count reads, leaving the stream as is.
 
 numpy is imported by each function that calls it, not with the module, so
 `import bb84sim` and the security threshold run without it. Once numpy is
@@ -189,11 +189,12 @@ def _skip_random(bitgen: np.random.PCG64, n: int) -> None:
     _set_uint32_buffer(bitgen, state["has_uint32"], state["uinteger"])
 
 
-def _bit_blocks(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """k adjacent blocks of n uniform 0/1 draws, as the rows of a (k, n)
-    uint8 array: the values of k consecutive
-    `rng.integers(0, 2, n, dtype=np.uint8)` draws, leaving the generator
-    where they would.
+def _bit_blocks(rng: np.random.Generator, n: int,
+                read: tuple[bool, ...]) -> list[np.ndarray | np.uint8]:
+    """A run of adjacent blocks of n uniform 0/1 draws, one per flag of
+    `read`: the values of consecutive `rng.integers(0, 2, n, dtype=np.uint8)`
+    draws, leaving the generator where they would. An unread block is not
+    generated and comes back as the constant 0.
 
     Precondition: PCG64 holds no buffered uint32 half-word. `run_session`
     meets it, since every block before each of its runs takes whole words.
@@ -201,19 +202,32 @@ def _bit_blocks(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     numpy draws range-2 uint8 values by Lemire's method, which never rejects
     (256 is even) and returns the top bit of each byte, taking the bytes of
     ceil(n/4) uint32 draws low-first. uint32 draws are the halves of 64-bit
-    words, low half first, so from an empty buffer the k blocks are the
-    little-endian bytes of ceil(k*w/2) raw words, w = ceil(n/4). An odd
-    k*w leaves the last word's high half buffered.
+    words, low half first, so from an empty buffer the run is the
+    little-endian bytes of ceil(k*w/2) raw words, k = len(read) and
+    w = ceil(n/4). Only those from the first read block to the last are
+    generated, and `advance`, which empties the buffer, passes the rest. An
+    odd k*w leaves the last word's high half buffered, so then they run on
+    to it.
     """
     import numpy as np
 
     bitgen = rng.bit_generator
     w = (n + 3) // 4
-    words = bitgen.random_raw((k * w + 1) // 2)
-    if k * w % 2:
+    total = len(read) * w
+    blocks = [i for i, r in enumerate(read) if r]
+    start = blocks[0] * w if blocks else total
+    stop = (blocks[-1] + 1) * w if blocks and total % 2 == 0 else total
+    lo, hi = start // 2, (stop + 1) // 2
+    if lo:
+        bitgen.advance(lo)
+    words = bitgen.random_raw(hi - lo)
+    if hi < (total + 1) // 2:
+        bitgen.advance((total + 1) // 2 - hi)
+    if total % 2:
         _set_uint32_buffer(bitgen, 1, int(words[-1]) >> 32)
     data = words.astype("<u8", copy=False).view(np.uint8)
-    return data[:4 * k * w].reshape(k, 4 * w)[:, :n] >> 7
+    return [data[4 * (i * w - 2 * lo):][:n] >> 7 if r else np.uint8(0)
+            for i, r in enumerate(read)]
 
 
 def _event_block(rng: np.random.Generator, n: int, prob: float,
@@ -294,10 +308,19 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     the one `integers` draws would give.
 
     With ledger=False the session returns only its counts, with records
-    None. It skips each block that cannot change them: Eve's intercept
-    events at f = 0 or 1 and her pair at f = 0, and the channel's events at
-    p = 0 or 1. A skipped block enters the physics as the constant it would
-    have been. The counts equal the ledger session's.
+    None, and skips each block they cannot read. Eve's intercept events at
+    f = 0 or 1 and the channel's at p = 0 or 1 are constants. Eve's reads
+    are skipped always: one is random only where her basis is wrong, and
+    then her resend meets Bob's basis wrong at every sifted position, so
+    his own draw decides the bit at any p. The channel's bits are skipped
+    at p = 0, where no event fires to read them. At f = 0 nothing is
+    resent, so Eve's bases and Bob's reads are skipped: a sifted position
+    reads his draw only after a wrong-basis resend. A skipped 0/1 block
+    enters the physics as 0, so on this path `_measure`'s Eve reads, and
+    its flips at her wrong-basis resends, are not the ledger's. Nothing
+    reads them, and a split of the errors by cause counts neither: an
+    error at such a resend is Eve's, and the channel's are its flips where
+    she did not disturb the qubit. The counts equal the ledger session's.
 
     Raises EmptySampleError when the sample would be empty; transmit more
     qubits.
@@ -310,16 +333,12 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     f = config.eve.fraction_f
     p = config.channel.depolarizing_p
 
-    alice_bits, alice_bases = _bit_blocks(rng, n, 2)
+    alice_bits, alice_bases = _bit_blocks(rng, n, (True, True))
     resent = _event_block(rng, n, f, used=ledger or 0 < f < 1)
-    if ledger or f > 0:
-        eve_bases, eve_draws = _bit_blocks(rng, n, 2)
-    else:
-        # a pair of blocks is 2 * ceil(n/4) uint32 draws: ceil(n/4) words
-        _skip_random(rng.bit_generator, (n + 3) // 4)
-        eve_bases = eve_draws = np.uint8(0)
+    eve_bases, eve_draws = _bit_blocks(rng, n, (ledger or f > 0, ledger))
     depolarized = _event_block(rng, n, p, used=ledger or 0 < p < 1)
-    channel_draws, bob_bases, bob_draws = _bit_blocks(rng, n, 3)
+    channel_draws, bob_bases, bob_draws = _bit_blocks(
+        rng, n, (ledger or p > 0, True, ledger or f > 0))
 
     sifted = alice_bases == bob_bases
     sifted_count, sample_idx = _sample(rng, sifted, config.sample_fraction)
@@ -328,7 +347,7 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     eve_bits, flips, bob_bits = _measure(
         alice_bits, alice_bases, resent, eve_bases, eve_draws,
         depolarized, channel_draws, bob_bases, bob_draws)
-    errors_k = int(np.count_nonzero(alice_bits[sample_idx] != bob_bits[sample_idx]))
+    errors_k = int(np.count_nonzero((alice_bits ^ bob_bits).take(sample_idx)))
 
     records = None
     if ledger:

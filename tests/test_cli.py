@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -157,6 +158,32 @@ def test_memory_check_reads_this_hosts_memory(monkeypatch, tmp_path, capsys):
     code, _, err = run_cli(["trial", "--qubits", str(10**15)], monkeypatch, tmp_path, capsys)
     assert code == 1
     assert "physical memory" in err
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["sweep", "--qubits", "100"], 21 * 50),
+    (["sweep", "--f-step", "0.5", "--trials", "4", "--qubits", "100"], 3 * 4),
+])
+def test_grid_too_large_for_the_host_is_a_usage_error(argv, rows, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: rows * cli.TRIAL_ROW_BYTES - 1)
+    monkeypatch.setattr(cli, "run_sweep", _no_session)
+    code, out, err = run_cli(argv, monkeypatch, tmp_path, capsys)
+    assert code == 1
+    assert out == ""
+    assert f"need about {rows * cli.TRIAL_ROW_BYTES} bytes" in err and "--f-step" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_tiny_f_step_is_rejected_before_the_grid_is_built(monkeypatch, tmp_path, capsys):
+    # 10^300 points: building the grid first would never return
+    monkeypatch.setattr(cli, "run_sweep", _no_session)
+    if cli._physical_memory() is None:
+        pytest.skip("sysconf does not report physical memory here")
+    start = time.perf_counter()
+    code, _, err = run_cli(["sweep", "--f-step", "1e-300"], monkeypatch, tmp_path, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert f"--f-step 1e-300 gives {10**300 + 1} points" in err
 
 
 def test_runtime_errors_exit_2(monkeypatch, tmp_path, capsys):

@@ -12,6 +12,7 @@ the counts-only session (`ledger=False`) must return the same counts.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from bb84sim.protocol import (
@@ -124,5 +125,21 @@ def test_counts_only_session_matches_the_ledger_session(n, f, p, seed, sample_fr
     config = SessionConfig(
         n, EveStrategy.intercept_resend(f), ChannelModel.depolarizing(p),
         sample_fraction=sample_fraction, seed=seed,
+    )
+    assert _outcome(config, ledger=False) == _outcome(config, ledger=True)
+
+
+# Sessions of the size a sweep runs, with ceil(n/4) odd (49,999 and 50,001)
+# and even (50,000). About 25,000 positions are sifted, so a sample fraction
+# of 0.5 makes `choice` shuffle a tail and 0.01 makes it use Floyd's
+# algorithm.
+@pytest.mark.parametrize("sample_fraction", [0.5, 0.01])
+@pytest.mark.parametrize("p", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("f", [0.0, 0.35, 1.0])
+@pytest.mark.parametrize("n", [49_999, 50_000, 50_001])
+def test_large_counts_only_session_matches_the_ledger_session(n, f, p, sample_fraction):
+    config = SessionConfig(
+        n, EveStrategy.intercept_resend(f), ChannelModel.depolarizing(p),
+        sample_fraction=sample_fraction, seed=n,
     )
     assert _outcome(config, ledger=False) == _outcome(config, ledger=True)

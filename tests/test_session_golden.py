@@ -11,6 +11,7 @@ last run of three blocks leaves one for the sample choice.
 """
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -87,40 +88,102 @@ NEXT_DRAWS = (
 )
 
 
+class CountingPCG64(np.random.PCG64):
+    """PCG64 that counts the raw words its `random_raw` generates. The
+    Generator's own draws do not go through it."""
+
+    words = 0
+
+    def random_raw(self, size=None, output=True):
+        self.words += 1 if size is None else size
+        return super().random_raw(size, output)
+
+
+def words_generated(n, read):
+    """The raw words `_bit_blocks(rng, n, read)` generates from an empty
+    buffer: from the first word of the first read block to the last word of
+    the last one, or to the run's last word when its k * ceil(n/4) uint32
+    draws are odd, since that word's high half stays buffered."""
+    w = (n + 3) // 4
+    spans = [(i * w // 2, ((i + 1) * w - 1) // 2) for i, r in enumerate(read) if r]
+    if len(read) * w % 2:
+        spans.append(((len(read) * w - 1) // 2,) * 2)
+    return spans[-1][1] - spans[0][0] + 1 if spans else 0
+
+
+READ_MASKS = [read for k in (1, 2, 3) for read in itertools.product((True, False), repeat=k)]
+
+
 # n = 1..40 covers every remainder mod 4 and mod 8 around a few words, and
 # k * ceil(n/4) of either parity for each k.
 @pytest.mark.parametrize("n", [*range(1, 41), 999, 1_000, 1_001, 49_999, 50_000, 50_001])
 @pytest.mark.parametrize("earlier", [0, 3], ids=["fresh", "after-odd-draw"])
 def test_random_bits_match_integers_draw(n, earlier):
-    """Each row of `_bit_blocks(rng, n, k)`, k = 1, 2, 3, is the matching one
-    of k consecutive `rng.integers(0, 2, n, dtype=np.uint8)` draws, and the
-    generator is left where those draws leave it: the same state and uint32
-    buffer, and the same next `integers`, `random` and `choice` draws.
+    """For every read mask of k = 1, 2, 3 blocks, each read block of
+    `_bit_blocks(rng, n, read)` is the matching one of k consecutive
+    `rng.integers(0, 2, n, dtype=np.uint8)` draws, each unread one is the
+    constant 0, and the generator is left where those draws leave it: the
+    same state and uint32 buffer, and the same next `integers`, `random`
+    and `choice` draws. The helper generates only the words of
+    `words_generated`, so an unread block at a word boundary costs none.
 
     `run_session` calls the helper on a fresh generator or after
     `rng.random(n)`, which takes whole words and so leaves the buffer empty,
     as the helper requires; `earlier` = 3 doubles stands for the latter."""
-    for k in (1, 2, 3):
-        ref, rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    for read in READ_MASKS:
+        ref = np.random.default_rng(2024)
+        rng = np.random.Generator(CountingPCG64(2024))
         for gen in (ref, rng):
             gen.random(earlier)
-        expected = np.stack([ref.integers(0, 2, n, dtype=np.uint8) for _ in range(k)])
-        got = _bit_blocks(rng, n, k)
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected), k
-        assert _uint32_buffer(rng.bit_generator) == _uint32_buffer(ref.bit_generator), k
+        expected = [ref.integers(0, 2, n, dtype=np.uint8) for _ in read]
+        got = _bit_blocks(rng, n, read)
+        assert len(got) == len(read)
+        for block, want, is_read in zip(got, expected, read):
+            if is_read:
+                assert block.dtype == want.dtype
+                assert np.array_equal(block, want), read
+            else:
+                assert block.shape == () and block == 0, read
+        assert rng.bit_generator.words == words_generated(n, read), read
+        assert _uint32_buffer(rng.bit_generator) == _uint32_buffer(ref.bit_generator), read
         for draw in NEXT_DRAWS:
-            assert np.array_equal(draw(rng, n), draw(ref, n)), k
+            assert np.array_equal(draw(rng, n), draw(ref, n)), read
+
+
+# At n = 50,000 a block is 12,500 uint32 draws, 6,250 whole words, so each
+# unread block at either end of a run generates none.
+@pytest.mark.parametrize("f, p, ledger, words", [
+    pytest.param(0.35, 0.0, True, 43_750, id="ledger"),
+    pytest.param(0.35, 0.0, False, 31_250, id="f-p0"),
+    pytest.param(0.0, 0.0, False, 18_750, id="f0-p0"),
+    pytest.param(0.35, 0.05, False, 37_500, id="f-p"),
+    pytest.param(0.0, 0.05, False, 25_000, id="f0-p"),
+])
+def test_session_generates_only_the_bit_words_its_counts_read(f, p, ledger, words, monkeypatch):
+    """The raw words of a session's 0/1 blocks. The ledger session reads all
+    nine; the counts-only one leaves out Eve's reads, the channel's bits at
+    p = 0, and Eve's bases and Bob's reads at f = 0."""
+    bitgens = []
+
+    def counting_rng(seed):
+        bitgens.append(CountingPCG64(seed))
+        return np.random.Generator(bitgens[-1])
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    run_session(SessionConfig(50_000, EveStrategy.intercept_resend(f),
+                              ChannelModel.depolarizing(p)), ledger=ledger)
+    assert [bitgen.words for bitgen in bitgens] == [words]
 
 
 # Each draw and the skip that stands for it. `random` is one `rng.random(n)`
 # block. `bytes` is a pair of 0/1 blocks, whose uint32 words two
 # `rng.bytes(n)` draws take, skipped as `run_session` skips Eve's pair at
-# f = 0: as ceil(n/4) whole 64-bit words.
+# f = 0: by `_bit_blocks` with neither block read.
 DRAWS_AND_SKIPS = {
-    "random": (lambda gen, n: gen.random(n), _skip_random),
+    "random": (lambda gen, n: gen.random(n),
+               lambda gen, n: _skip_random(gen.bit_generator, n)),
     "bytes": (lambda gen, n: (gen.bytes(n), gen.bytes(n)),
-              lambda bitgen, n: _skip_random(bitgen, (n + 3) // 4)),
+              lambda gen, n: _bit_blocks(gen, n, (False, False))),
 }
 
 # The states a skip starts from. 3 leading bytes leave a buffered half-word
@@ -152,7 +215,7 @@ def test_skip_leaves_the_state_of_the_draw(n, earlier, draw):
         EARLIER_DRAWS[earlier](gen, draw)
     take, skip = DRAWS_AND_SKIPS[draw]
     take(ref, n)
-    skip(rng.bit_generator, n)
+    skip(rng, n)
     if draw == "random":
         assert rng.bit_generator.state == ref.bit_generator.state
     assert _uint32_buffer(rng.bit_generator) == _uint32_buffer(ref.bit_generator)
