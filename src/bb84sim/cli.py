@@ -52,10 +52,11 @@ EXIT_RUNTIME = 2
 SEED_ENV_VAR = "BB84SIM_SEED"
 
 # Peak allocation of one run_session per qubit, for sessions of 10^5 qubits
-# and more. tracemalloc reads 20.0 B with the ledger at the default sample
-# fraction and 22.0 B as it nears 1 (the sample indices are int64). The
-# counts-only session of a sweep reads 14.0-19.0 B and 16.0-21.0 B, least
-# at f = 0 and p = 0, where it skips the most blocks.
+# and more. The CLI runs only counts-only sessions, for sweeps and trials:
+# tracemalloc reads 14.0-19.0 B at the default sample fraction and
+# 16.0-21.0 B as it nears 1 (the sample indices are int64), least at f = 0
+# and p = 0, where it skips the most blocks. The bound also covers a library
+# session with the ledger, which reads 20.0 B and 22.0 B.
 SESSION_BYTES_PER_QUBIT = 28
 
 # Peak allocation of a sweep per per-trial row: run_sweep, then both files
@@ -274,13 +275,9 @@ def _f_grid(start: float, end: float, step: float,
     first, stop, delta = (Decimal(repr(x)) for x in (start, end, step))
     count = int((stop - first) / delta) + 1
     need = count * trials * TRIAL_ROW_BYTES
-    limit = _physical_memory()
-    if limit is not None and 0 < limit < need:
-        raise ValueError(
-            f"--f-step {step} gives {count} points; at --trials {trials} their "
-            f"per-trial rows need about {need} bytes ({TRIAL_ROW_BYTES} B per row), "
-            f"more than the {limit} bytes of physical memory on this host"
-        )
+    _check_memory(need, f"--f-step {step} gives {count} points; at --trials {trials} "
+                        f"their per-trial rows need about {need} bytes "
+                        f"({TRIAL_ROW_BYTES} B per row)")
     return (start,) + tuple(float(first + i * delta) for i in range(1, count))
 
 
@@ -292,17 +289,23 @@ def _physical_memory() -> Optional[int]:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(n_qubits: int, sessions: int) -> None:
-    """Raise ValueError when `sessions` concurrent sessions of n_qubits each
-    would need more than the host's physical memory."""
-    need = n_qubits * SESSION_BYTES_PER_QUBIT * sessions
+def _check_memory(need: int, what: str) -> None:
+    """Raise ValueError when `need` bytes exceed the host's physical memory,
+    with `what` and then the limit as its message. Where sysconf cannot
+    tell, nothing is rejected."""
     limit = _physical_memory()
     if limit is not None and 0 < limit < need:
         raise ValueError(
-            f"--qubits {n_qubits} needs about {need} bytes "
-            f"({SESSION_BYTES_PER_QUBIT} B per qubit, {sessions} session(s) at once), "
-            f"more than the {limit} bytes of physical memory on this host"
-        )
+            f"{what}, more than the {limit} bytes of physical memory on this host")
+
+
+def _check_sessions(n_qubits: int, sessions: int) -> None:
+    """Raise ValueError when `sessions` concurrent sessions of n_qubits each
+    would need more than the host's physical memory."""
+    need = n_qubits * SESSION_BYTES_PER_QUBIT * sessions
+    _check_memory(need, f"--qubits {n_qubits} needs about {need} bytes "
+                        f"({SESSION_BYTES_PER_QUBIT} B per qubit, "
+                        f"{sessions} session(s) at once)")
 
 
 # Each subcommand has an inputs function, which turns the parsed flags into
@@ -317,7 +320,7 @@ def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
     if out_dir and not os.path.isdir(out_dir):
         raise ValueError(f"--out directory {out_dir!r} does not exist")
     # a sweep runs at most one point's trials at once
-    _check_memory(args.qubits, min(args.workers, args.trials))
+    _check_sessions(args.qubits, min(args.workers, args.trials))
     config = SweepConfig(
         f_values=_f_grid(args.f_start, args.f_end, args.f_step, args.trials),
         trials_per_f=args.trials,
@@ -369,12 +372,12 @@ def _trial_inputs(args: argparse.Namespace) -> SessionConfig:
         sample_fraction=args.sample_fraction,
         seed=_resolve_seed(args.seed),
     )
-    _check_memory(config.n_qubits, 1)
+    _check_sessions(config.n_qubits, 1)
     return config
 
 
 def cmd_trial(args: argparse.Namespace, config: SessionConfig) -> int:
-    result = run_session(config)
+    result = run_session(config, ledger=False)
     est = result.estimate
     method = CIMethod(args.ci)
     interval = confidence_interval(est, args.confidence, method)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 
 class CIMethod(enum.Enum):
@@ -34,6 +34,14 @@ def check_probability(name: str, value: float) -> None:
     """Raise ValueError unless value lies in [0, 1]."""
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+
+
+def check_increasing(name: str, values: Sequence[float]) -> None:
+    """Raise ValueError unless values is non-empty and strictly increasing."""
+    if not values:
+        raise ValueError(f"{name} must be non-empty")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
 
 
 def check_confidence(confidence: float) -> None:

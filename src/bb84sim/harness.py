@@ -18,7 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CIMethod, QberEstimate, check_confidence, check_probability
+from .core import (
+    CIMethod, QberEstimate, check_confidence, check_increasing, check_probability,
+)
 from .protocol import (
     ChannelModel, EveStrategy, SessionConfig, check_session_params, run_session,
 )
@@ -66,12 +68,9 @@ class SweepConfig:
     confidence: float = 0.95
 
     def __post_init__(self) -> None:
-        if not self.f_values:
-            raise ValueError("f_values must be non-empty")
         for f in self.f_values:
             check_probability("f", f)
-        if any(b <= a for a, b in zip(self.f_values, self.f_values[1:])):
-            raise ValueError("f_values must be strictly increasing")
+        check_increasing("f_values", self.f_values)
         check_trials(self.trials_per_f)
         check_session_params(self.n_qubits, self.sample_fraction, self.master_seed)
         check_confidence(self.confidence)
@@ -120,12 +119,13 @@ class SweepResult:
 def _run_point_trials(config: SweepConfig, f: float, index: int,
                       workers: int = 1) -> list[TrialRow]:
     """The config's trials at fraction f, seeded from (master seed, index)."""
+    eve = EveStrategy.intercept_resend(f)
 
     def job(t: int) -> TrialRow:
         seed = derive_trial_seed(config.master_seed, index, t)
         session = SessionConfig(
             n_qubits=config.n_qubits,
-            eve=EveStrategy.intercept_resend(f),
+            eve=eve,
             channel=config.channel,
             sample_fraction=config.sample_fraction,
             seed=seed,
@@ -193,8 +193,7 @@ class HistogramResult:
     def __post_init__(self) -> None:
         if len(self.counts) != len(self.bin_edges) - 1:
             raise ValueError("need exactly one more edge than bins")
-        if any(b <= a for a, b in zip(self.bin_edges, self.bin_edges[1:])):
-            raise ValueError("bin edges must be strictly increasing")
+        check_increasing("bin edges", self.bin_edges)
         if any(c < 0 for c in self.counts):
             raise ValueError("counts must be non-negative")
 
@@ -270,10 +269,7 @@ def run_finite_size_study(
     """
     import numpy as np
 
-    if not n_values:
-        raise ValueError("n_values must be non-empty")
-    if any(b <= a for a, b in zip(n_values, n_values[1:])):
-        raise ValueError("n_values must be strictly increasing")
+    check_increasing("n_values", n_values)
     configs = [
         SweepConfig((f,), trials, n_qubits, sample_fraction, channel, master_seed,
                     confidence)

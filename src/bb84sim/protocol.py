@@ -11,11 +11,12 @@ positions read back wrong for Bob.
 
 Sessions are pure functions of their config. `run_session` is vectorized over
 the whole qubit train with numpy and is the only implementation of the
-physics; tests check its ledger against the per-qubit rules. Its 0/1 blocks
-are drawn a run at a time as raw PCG64 words, byte for byte the
-`rng.integers` draws that define the stream. Sweeps call it with
-ledger=False, which returns the same counts without the ledger and skips
-the random blocks no count reads, leaving the stream as is.
+physics; tests check its ledger against the per-qubit rules. Every random
+block, 0/1 or event, is drawn a run at a time as raw PCG64 words, byte for
+byte the `rng.integers` and `rng.random` draws that define the stream.
+Sweeps call it with ledger=False, which returns the same counts without the
+ledger and passes the random blocks no count reads with a plain `advance`,
+leaving the stream as is.
 
 numpy is imported by each function that calls it, not with the module, so
 `import bb84sim` and the security threshold run without it. Once numpy is
@@ -171,52 +172,38 @@ class SessionResult:
         return self.sifted_count - self.estimate.compared_n
 
 
-def _set_uint32_buffer(bitgen: np.random.PCG64, has_uint32: int, uinteger: int) -> None:
-    """Set PCG64's buffered uint32 draw, which `advance` clears."""
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = has_uint32, uinteger
-    bitgen.state = state
-
-
-def _skip_random(bitgen: np.random.PCG64, n: int) -> None:
-    """Leave `bitgen` in the state `rng.random(n)` would, without drawing.
-
-    Each double takes one 64-bit word and leaves the uint32 buffer alone,
-    but `advance` clears that buffer, so it is put back.
-    """
-    state = bitgen.state
-    bitgen.advance(n)
-    _set_uint32_buffer(bitgen, state["has_uint32"], state["uinteger"])
-
-
-def _bit_blocks(rng: np.random.Generator, n: int,
-                read: tuple[bool, ...]) -> list[np.ndarray | np.uint8]:
-    """A run of adjacent blocks of n uniform 0/1 draws, one per flag of
-    `read`: the values of consecutive `rng.integers(0, 2, n, dtype=np.uint8)`
-    draws, leaving the generator where they would. An unread block is not
-    generated and comes back as the constant 0.
+def _blocks(rng: np.random.Generator, n: int, read: tuple[bool, ...],
+            prob: float | None = None) -> list[np.ndarray | np.uint8]:
+    """A run of adjacent blocks of n draws, one per flag of `read`, from raw
+    PCG64 words, leaving the generator where the draws that define the
+    stream would: consecutive `rng.integers(0, 2, n, dtype=np.uint8)` 0/1
+    blocks, or with `prob` consecutive `rng.random(n) < prob` event blocks
+    as 0/1 uint8. An unread block is not generated and comes back as a
+    constant: 0, or `prob`, which must then be 0 or 1.
 
     Precondition: PCG64 holds no buffered uint32 half-word. `run_session`
-    meets it, since every block before each of its runs takes whole words.
+    meets it, since every run before each call takes whole words.
 
     numpy draws range-2 uint8 values by Lemire's method, which never rejects
     (256 is even) and returns the top bit of each byte, taking the bytes of
-    ceil(n/4) uint32 draws low-first. uint32 draws are the halves of 64-bit
-    words, low half first, so from an empty buffer the run is the
-    little-endian bytes of ceil(k*w/2) raw words, k = len(read) and
-    w = ceil(n/4). Only those from the first read block to the last are
-    generated, and `advance`, which empties the buffer, passes the rest. An
-    odd k*w leaves the last word's high half buffered, so then they run on
-    to it.
+    ceil(n/4) uint32 draws low-first; uint32 draws are the halves of 64-bit
+    words, low half first. A double is (word >> 11) / 2**53, so it is below
+    prob exactly where word <= (ceil(prob * 2**53) << 11) - 1, and an event
+    takes one word. So from an empty buffer a run of k blocks of h uint32
+    halves each is ceil(k*h/2) raw words. Only those from the first read
+    block to the last are generated, and `advance`, which empties the
+    buffer, passes the rest. An odd k*h leaves the last word's high half
+    buffered for the next draw, so then they run on to it and set it in
+    `bitgen.state`, the one write of the state.
     """
     import numpy as np
 
     bitgen = rng.bit_generator
-    w = (n + 3) // 4
-    total = len(read) * w
+    h = (n + 3) // 4 if prob is None else 2 * n
+    total = len(read) * h
     blocks = [i for i, r in enumerate(read) if r]
-    start = blocks[0] * w if blocks else total
-    stop = (blocks[-1] + 1) * w if blocks and total % 2 == 0 else total
+    start = blocks[0] * h if blocks else total
+    stop = (blocks[-1] + 1) * h if blocks and total % 2 == 0 else total
     lo, hi = start // 2, (stop + 1) // 2
     if lo:
         bitgen.advance(lo)
@@ -224,25 +211,16 @@ def _bit_blocks(rng: np.random.Generator, n: int,
     if hi < (total + 1) // 2:
         bitgen.advance((total + 1) // 2 - hi)
     if total % 2:
-        _set_uint32_buffer(bitgen, 1, int(words[-1]) >> 32)
-    data = words.astype("<u8", copy=False).view(np.uint8)
-    return [data[4 * (i * w - 2 * lo):][:n] >> 7 if r else np.uint8(0)
-            for i, r in enumerate(read)]
-
-
-def _event_block(rng: np.random.Generator, n: int, prob: float,
-                 used: bool) -> np.ndarray | np.uint8:
-    """Events of probability `prob` as 0/1 uint8, from `rng.random(n) < prob`.
-
-    A block that is not used must have prob 0 or 1, where every event is
-    known: it is skipped and that constant returned.
-    """
-    import numpy as np
-
-    if used:
-        return (rng.random(n) < prob).view(np.uint8)
-    _skip_random(rng.bit_generator, n)
-    return np.uint8(prob)
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, int(words[-1]) >> 32
+        bitgen.state = state
+    if prob is None:
+        data = words.astype("<u8", copy=False).view(np.uint8)
+        return [data[4 * (i * h - 2 * lo):][:n] >> 7 if r else np.uint8(0)
+                for i, r in enumerate(read)]
+    threshold = (math.ceil(prob * 2**53) << 11) - 1
+    return [(words[i * n - lo:][:n] <= threshold).view(np.uint8) if r
+            else np.uint8(prob) for i, r in enumerate(read)]
 
 
 def _measure(alice_bits, alice_bases, resent, eve_bases, eve_draws,
@@ -297,15 +275,16 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     events, Eve bases, Eve mismatch outcomes, channel events, channel
     replacement bits, Bob bases, Bob mismatch outcomes, then the sample
     choice. Every block is consumed regardless of f and p: drawn, or
-    skipped by advancing the generator to the state the draw would leave,
-    so the stream is the same either way.
+    skipped by a plain `advance` past its words, so the stream is the same
+    either way.
 
-    Each 0/1 block means `rng.integers(0, 2, n, dtype=np.uint8)`. Between
-    the event blocks the 0/1 blocks come in three runs (Alice's pair, Eve's
-    pair, then the channel bits with Bob's pair), and each run is drawn at
-    once as raw PCG64 words (see `_bit_blocks`): the same values from the
-    same words, leaving the same generator state, so every output byte is
-    the one `integers` draws would give.
+    Each 0/1 block means `rng.integers(0, 2, n, dtype=np.uint8)` and each
+    event block `rng.random(n) < prob`. The blocks come in five runs
+    (Alice's pair, Eve's events, Eve's pair, the channel's events, then the
+    channel bits with Bob's pair), and each run is drawn at once as raw
+    PCG64 words (see `_blocks`): the same values from the same words,
+    leaving the same generator state, so every output byte is the one
+    those draws would give.
 
     With ledger=False the session returns only its counts, with records
     None, and skips each block they cannot read. Eve's intercept events at
@@ -333,11 +312,11 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     f = config.eve.fraction_f
     p = config.channel.depolarizing_p
 
-    alice_bits, alice_bases = _bit_blocks(rng, n, (True, True))
-    resent = _event_block(rng, n, f, used=ledger or 0 < f < 1)
-    eve_bases, eve_draws = _bit_blocks(rng, n, (ledger or f > 0, ledger))
-    depolarized = _event_block(rng, n, p, used=ledger or 0 < p < 1)
-    channel_draws, bob_bases, bob_draws = _bit_blocks(
+    alice_bits, alice_bases = _blocks(rng, n, (True, True))
+    resent, = _blocks(rng, n, (ledger or 0 < f < 1,), f)
+    eve_bases, eve_draws = _blocks(rng, n, (ledger or f > 0, ledger))
+    depolarized, = _blocks(rng, n, (ledger or 0 < p < 1,), p)
+    channel_draws, bob_bases, bob_draws = _blocks(
         rng, n, (ledger or p > 0, True, ledger or f > 0))
 
     sifted = alice_bases == bob_bases

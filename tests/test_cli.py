@@ -283,6 +283,20 @@ def test_trial_clean_run(monkeypatch, tmp_path, capsys):
     assert "key rate       : 1.000000 (secure)" in out
 
 
+def test_trial_runs_the_counts_only_session(monkeypatch, tmp_path, capsys):
+    # the report reads only the counts, so no ledger is built
+    calls = []
+
+    def recording_session(config, ledger=True):
+        calls.append(ledger)
+        return run_session(config, ledger)
+
+    monkeypatch.setattr(cli, "run_session", recording_session)
+    code, _, _ = run_cli(["trial", "--qubits", "1000"], monkeypatch, tmp_path, capsys)
+    assert code == 0
+    assert calls == [False]
+
+
 def test_trial_under_full_attack(monkeypatch, tmp_path, capsys):
     code, out, _ = run_cli(
         ["trial", "--eve-fraction", "1.0"], monkeypatch, tmp_path, capsys

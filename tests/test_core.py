@@ -6,6 +6,7 @@ from bb84sim.core import (
     Decision,
     QberEstimate,
     SecurityVerdict,
+    check_increasing,
 )
 
 
@@ -20,6 +21,16 @@ def test_qber_estimate_point():
     assert QberEstimate(3, 12).point_estimate == 0.25
     assert QberEstimate(0, 7).point_estimate == 0.0
     assert QberEstimate(5, 5).point_estimate == 1.0
+
+
+@pytest.mark.parametrize("values, message", [
+    ((), "xs must be non-empty"),
+    ((0.1, 0.1), "xs must be strictly increasing"),
+    ((1, 3, 2), "xs must be strictly increasing"),
+])
+def test_check_increasing_names_the_values(values, message):
+    with pytest.raises(ValueError, match=message):
+        check_increasing("xs", values)
 
 
 @pytest.mark.parametrize("k,n", [(0, 0), (1, 0), (-1, 10), (11, 10)])

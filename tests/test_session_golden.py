@@ -21,8 +21,7 @@ from bb84sim.protocol import (
     ChannelModel,
     EveStrategy,
     SessionConfig,
-    _bit_blocks,
-    _skip_random,
+    _blocks,
     run_session,
 )
 
@@ -99,19 +98,32 @@ class CountingPCG64(np.random.PCG64):
         return super().random_raw(size, output)
 
 
-def words_generated(n, read):
-    """The raw words `_bit_blocks(rng, n, read)` generates from an empty
+def words_generated(n, read, prob=None):
+    """The raw words `_blocks(rng, n, read, prob)` generates from an empty
     buffer: from the first word of the first read block to the last word of
-    the last one, or to the run's last word when its k * ceil(n/4) uint32
-    draws are odd, since that word's high half stays buffered."""
-    w = (n + 3) // 4
-    spans = [(i * w // 2, ((i + 1) * w - 1) // 2) for i, r in enumerate(read) if r]
-    if len(read) * w % 2:
-        spans.append(((len(read) * w - 1) // 2,) * 2)
+    the last one, or to the run's last word when its uint32 draws are odd,
+    since that word's high half stays buffered. A 0/1 block is ceil(n/4)
+    uint32 draws and an event block n whole words, so an unread event block
+    generates none."""
+    h = (n + 3) // 4 if prob is None else 2 * n
+    spans = [(i * h // 2, ((i + 1) * h - 1) // 2) for i, r in enumerate(read) if r]
+    if len(read) * h % 2:
+        spans.append(((len(read) * h - 1) // 2,) * 2)
     return spans[-1][1] - spans[0][0] + 1 if spans else 0
 
 
 READ_MASKS = [read for k in (1, 2, 3) for read in itertools.product((True, False), repeat=k)]
+
+# (prob, read) of each run: None for 0/1 blocks, else the event probability.
+# An event block is only left unread where every event is known, at 0 or 1.
+# 1e-300 fires only on a word below 2**11, and 1 - 2**-53 on every word but
+# the top 2**11.
+RUNS = [
+    *((None, read) for read in READ_MASKS),
+    *((prob, read) for prob in (0.0, 1.0) for read in READ_MASKS),
+    *((prob, read) for prob in (1e-300, 0.35, 1 - 2**-53)
+      for read in READ_MASKS if all(read)),
+]
 
 
 # n = 1..40 covers every remainder mod 4 and mod 8 around a few words, and
@@ -119,50 +131,84 @@ READ_MASKS = [read for k in (1, 2, 3) for read in itertools.product((True, False
 @pytest.mark.parametrize("n", [*range(1, 41), 999, 1_000, 1_001, 49_999, 50_000, 50_001])
 @pytest.mark.parametrize("earlier", [0, 3], ids=["fresh", "after-odd-draw"])
 def test_random_bits_match_integers_draw(n, earlier):
-    """For every read mask of k = 1, 2, 3 blocks, each read block of
-    `_bit_blocks(rng, n, read)` is the matching one of k consecutive
-    `rng.integers(0, 2, n, dtype=np.uint8)` draws, each unread one is the
-    constant 0, and the generator is left where those draws leave it: the
-    same state and uint32 buffer, and the same next `integers`, `random`
-    and `choice` draws. The helper generates only the words of
+    """For every run of `RUNS`, each read block of `_blocks(rng, n, read,
+    prob)` is the matching one of k consecutive draws, each unread one is
+    the constant 0 or prob, and the generator is left where those draws
+    leave it: the same state and uint32 buffer, and the same next
+    `integers`, `random` and `choice` draws. A 0/1 block is the draw
+    `rng.integers(0, 2, n, dtype=np.uint8)`, an event block
+    `rng.random(n) < prob`. The helper generates only the words of
     `words_generated`, so an unread block at a word boundary costs none.
 
-    `run_session` calls the helper on a fresh generator or after
-    `rng.random(n)`, which takes whole words and so leaves the buffer empty,
-    as the helper requires; `earlier` = 3 doubles stands for the latter."""
-    for read in READ_MASKS:
+    `run_session` calls the helper on a fresh generator or after a run of
+    whole words, which leaves the buffer empty, as the helper requires;
+    `earlier` = 3 doubles stands for the latter."""
+    for prob, read in RUNS:
         ref = np.random.default_rng(2024)
         rng = np.random.Generator(CountingPCG64(2024))
         for gen in (ref, rng):
             gen.random(earlier)
-        expected = [ref.integers(0, 2, n, dtype=np.uint8) for _ in read]
-        got = _bit_blocks(rng, n, read)
+        if prob is None:
+            expected = [ref.integers(0, 2, n, dtype=np.uint8) for _ in read]
+        else:
+            expected = [(ref.random(n) < prob).view(np.uint8) for _ in read]
+        got = _blocks(rng, n, read, prob)
+        case = prob, read
         assert len(got) == len(read)
         for block, want, is_read in zip(got, expected, read):
             if is_read:
                 assert block.dtype == want.dtype
-                assert np.array_equal(block, want), read
+                assert np.array_equal(block, want), case
             else:
-                assert block.shape == () and block == 0, read
-        assert rng.bit_generator.words == words_generated(n, read), read
-        assert _uint32_buffer(rng.bit_generator) == _uint32_buffer(ref.bit_generator), read
+                assert block.shape == () and block == (prob or 0), case
+        assert rng.bit_generator.words == words_generated(n, read, prob), case
+        assert _uint32_buffer(rng.bit_generator) == _uint32_buffer(ref.bit_generator), case
         for draw in NEXT_DRAWS:
-            assert np.array_equal(draw(rng, n), draw(ref, n)), read
+            assert np.array_equal(draw(rng, n), draw(ref, n)), case
 
 
-# At n = 50,000 a block is 12,500 uint32 draws, 6,250 whole words, so each
-# unread block at either end of a run generates none.
+class FixedWordsPCG64(np.random.PCG64):
+    """PCG64 whose `random_raw` returns the given words."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.fixed = np.array(words, dtype=np.uint64)
+
+    def random_raw(self, size=None, output=True):
+        return self.fixed[:size]
+
+
+@pytest.mark.parametrize("prob", [0.0, 1e-300, 2**-53, 0.35, 0.5, 1 - 2**-53, 1.0])
+def test_event_fires_exactly_where_the_double_is_below_prob(prob):
+    """numpy's double from a PCG64 word is (word >> 11) / 2**53, and an
+    event block fires on a word exactly where that double is below prob,
+    checked on the words at either side of the threshold, where random
+    draws never land."""
+    raw = np.random.PCG64(7).random_raw(5)
+    assert np.array_equal(np.random.default_rng(7).random(5), (raw >> 11) / 2**53)
+    edge = math.ceil(prob * 2**53) << 11
+    words = [w for w in (0, 1, 2**11 - 1, 2**11, edge - 2**11 - 1, edge - 2**11,
+                         edge - 1, edge, edge + 2**11 - 1, edge + 2**11, 2**64 - 1)
+             if 0 <= w < 2**64]
+    got, = _blocks(np.random.Generator(FixedWordsPCG64(words)), len(words), (True,), prob)
+    assert got.tolist() == [int((w >> 11) / 2**53 < prob) for w in words]
+
+
+# At n = 50,000 a 0/1 block is 12,500 uint32 draws, 6,250 whole words, so
+# each unread block at either end of a run generates none; an event block is
+# 50,000 words, or none when unread.
 @pytest.mark.parametrize("f, p, ledger, words", [
-    pytest.param(0.35, 0.0, True, 43_750, id="ledger"),
-    pytest.param(0.35, 0.0, False, 31_250, id="f-p0"),
+    pytest.param(0.35, 0.0, True, 143_750, id="ledger"),
+    pytest.param(0.35, 0.0, False, 81_250, id="f-p0"),
     pytest.param(0.0, 0.0, False, 18_750, id="f0-p0"),
-    pytest.param(0.35, 0.05, False, 37_500, id="f-p"),
-    pytest.param(0.0, 0.05, False, 25_000, id="f0-p"),
+    pytest.param(0.35, 0.05, False, 137_500, id="f-p"),
+    pytest.param(0.0, 0.05, False, 75_000, id="f0-p"),
 ])
 def test_session_generates_only_the_bit_words_its_counts_read(f, p, ledger, words, monkeypatch):
-    """The raw words of a session's 0/1 blocks. The ledger session reads all
-    nine; the counts-only one leaves out Eve's reads, the channel's bits at
-    p = 0, and Eve's bases and Bob's reads at f = 0."""
+    """The raw words of a session's random blocks, `choice` aside. The
+    ledger session reads all nine; the counts-only one leaves out Eve's
+    reads, the channel's bits and events at p = 0, and Eve's bases, her
+    events and Bob's reads at f = 0."""
     bitgens = []
 
     def counting_rng(seed):
@@ -173,54 +219,6 @@ def test_session_generates_only_the_bit_words_its_counts_read(f, p, ledger, word
     run_session(SessionConfig(50_000, EveStrategy.intercept_resend(f),
                               ChannelModel.depolarizing(p)), ledger=ledger)
     assert [bitgen.words for bitgen in bitgens] == [words]
-
-
-# Each draw and the skip that stands for it. `random` is one `rng.random(n)`
-# block. `bytes` is a pair of 0/1 blocks, whose uint32 words two
-# `rng.bytes(n)` draws take, skipped as `run_session` skips Eve's pair at
-# f = 0: by `_bit_blocks` with neither block read.
-DRAWS_AND_SKIPS = {
-    "random": (lambda gen, n: gen.random(n),
-               lambda gen, n: _skip_random(gen.bit_generator, n)),
-    "bytes": (lambda gen, n: (gen.bytes(n), gen.bytes(n)),
-              lambda gen, n: _bit_blocks(gen, n, (False, False))),
-}
-
-# The states a skip starts from. 3 leading bytes leave a buffered half-word
-# and 5 leave a used one. A pair is only skipped from an empty buffer, after
-# whole-word draws, so its odd earlier draw is of 3 doubles instead.
-EARLIER_DRAWS = {
-    "fresh": lambda gen, draw: None,
-    "after-odd-draw": lambda gen, draw: (
-        gen.random(3) if draw == "bytes" else gen.integers(0, 2, 3, dtype=np.uint8)),
-    "after-used-half-word": lambda gen, draw: gen.integers(0, 2, 5, dtype=np.uint8),
-}
-
-
-@pytest.mark.parametrize("n", [*range(1, 18), 1_001, 49_999, 50_000, 50_001])
-@pytest.mark.parametrize("earlier", list(EARLIER_DRAWS))
-@pytest.mark.parametrize("draw", ["bytes", "random"])
-def test_skip_leaves_the_state_of_the_draw(n, earlier, draw):
-    """Each skip leaves the generator where its draw does, and the next
-    `integers`, `random` and `choice` draws agree.
-
-    Skipping `rng.random(n)` leaves the whole `bit_generator.state`: the
-    128-bit state and the uint32 buffer, whether it holds a half-word or
-    not, down to the `uinteger` a used half-word leaves behind. Skipping a
-    pair of 0/1 blocks leaves the 128-bit state and an empty buffer; the
-    pair's draws leave the last word's high half as a stale `uinteger`,
-    which no draw reads and a skip of whole words does not write."""
-    ref, rng = np.random.default_rng(2024), np.random.default_rng(2024)
-    for gen in (ref, rng):
-        EARLIER_DRAWS[earlier](gen, draw)
-    take, skip = DRAWS_AND_SKIPS[draw]
-    take(ref, n)
-    skip(rng, n)
-    if draw == "random":
-        assert rng.bit_generator.state == ref.bit_generator.state
-    assert _uint32_buffer(rng.bit_generator) == _uint32_buffer(ref.bit_generator)
-    for next_draw in NEXT_DRAWS:
-        assert np.array_equal(next_draw(rng, n), next_draw(ref, n))
 
 
 def reference_session(f, p, n, sample_fraction=0.5, seed=42):
