@@ -221,6 +221,46 @@ def test_session_generates_only_the_bit_words_its_counts_read(f, p, ledger, word
     assert [bitgen.words for bitgen in bitgens] == [words]
 
 
+# Each draw and the skip that stands for it: `_blocks` with no block read.
+# `random` is one `rng.random(n)` block, skipped as `run_session` skips the
+# channel's events at p = 0. `bytes` is a pair of 0/1 blocks, whose uint32
+# words two `rng.bytes(n)` draws take, skipped as Eve's pair at f = 0.
+DRAWS_AND_SKIPS = {
+    "random": (lambda gen, n: gen.random(n),
+               lambda gen, n: _blocks(gen, n, (False,), 0.0)),
+    "bytes": (lambda gen, n: (gen.bytes(n), gen.bytes(n)),
+              lambda gen, n: _blocks(gen, n, (False, False))),
+}
+
+# The states a skip starts from. A skip is only made from an empty buffer,
+# after whole-word draws, so the odd earlier draw is of 3 doubles; 5 leading
+# bytes leave a used half-word, an empty buffer with a stale `uinteger`.
+EARLIER_DRAWS = {
+    "fresh": lambda gen: None,
+    "after-odd-draw": lambda gen: gen.random(3),
+    "after-used-half-word": lambda gen: gen.integers(0, 2, 5, dtype=np.uint8),
+}
+
+
+@pytest.mark.parametrize("n", [*range(1, 18), 1_001, 49_999, 50_000, 50_001])
+@pytest.mark.parametrize("earlier", list(EARLIER_DRAWS))
+@pytest.mark.parametrize("draw", ["bytes", "random"])
+def test_skip_leaves_the_state_of_the_draw(n, earlier, draw):
+    """Each skip leaves the generator where its draw does: the same 128-bit
+    state and uint32 buffer, and the same next `integers`, `random` and
+    `choice` draws. The draws leave a used half-word's high half as a stale
+    `uinteger`, which no draw reads and `advance` does not keep."""
+    ref, rng = np.random.default_rng(2024), np.random.default_rng(2024)
+    for gen in (ref, rng):
+        EARLIER_DRAWS[earlier](gen)
+    take, skip = DRAWS_AND_SKIPS[draw]
+    take(ref, n)
+    skip(rng, n)
+    assert _uint32_buffer(rng.bit_generator) == _uint32_buffer(ref.bit_generator)
+    for next_draw in NEXT_DRAWS:
+        assert np.array_equal(next_draw(rng, n), next_draw(ref, n))
+
+
 def reference_session(f, p, n, sample_fraction=0.5, seed=42):
     """The session of `run_session`, from plain `rng.integers`/`rng.random`
     draws in its documented block order and a per-qubit Python loop.
