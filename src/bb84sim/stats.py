@@ -92,13 +92,26 @@ def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
 _SPECIAL = frozenset(("betaincinv", "bdtr", "bdtrc"))
 
 
+def _double_kernel(kernel):
+    """The double specialisation of a scipy `cython_special` function.
+
+    Those fused over float and double dispatch on the Python type of each
+    argument and reject an int, where one taking double converts it as
+    float() does. A kernel that is not fused takes double already."""
+    return getattr(kernel, "__signatures__", {}).get("double", kernel)
+
+
 def _bind_special() -> None:
     """Import scipy's beta quantile and binomial tails into this module's
-    globals, keeping any binding already there (a wrapper set with setattr)."""
+    globals, keeping any binding already there (a wrapper set with setattr).
+    The quantile is the Cython kernel the `scipy.special` ufunc wraps, which
+    returns the same double without the ufunc's dispatch."""
     import scipy.special
+    from scipy.special import cython_special
 
     namespace = globals()
-    for name in _SPECIAL:
+    namespace.setdefault("betaincinv", _double_kernel(cython_special.betaincinv))
+    for name in ("bdtr", "bdtrc"):
         namespace.setdefault(name, getattr(scipy.special, name))
 
 
@@ -148,7 +161,7 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
         # P[X >= k] grows monotonically from 0 to 1 as p sweeps [0, 1].
         lower = _certified(
             lambda p: bdtrc(k - 1, n, p) < half_alpha,
-            float(betaincinv(k, n - k + 1, half_alpha)),
+            betaincinv(k, n - k + 1, half_alpha),
         )
     if k == n:
         upper = 1.0
@@ -156,7 +169,7 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
         # P[X <= k] falls monotonically from 1 to 0.
         upper = _certified(
             lambda p: bdtr(k, n, p) >= half_alpha,
-            1.0 - float(betaincinv(n - k, k + 1, half_alpha)),
+            1.0 - betaincinv(n - k, k + 1, half_alpha),
         )
     return ConfidenceInterval(lower, upper)
 

@@ -199,6 +199,31 @@ def test_clopper_pearson_matches_scratch_oracle():
         assert ours.upper == pytest.approx(hi, abs=5e-9), k
 
 
+CP_SCALAR_CASES = [(3, 100, 0.95), (0, 10, 0.999), (10, 10, 0.9), (250_000, 1_000_000, 0.99)]
+
+
+@pytest.mark.parametrize("k, n, confidence", CP_SCALAR_CASES)
+def test_clopper_pearson_takes_numpy_integer_counts(k, n, confidence):
+    # scipy's fused Cython kernels reject numpy integers in place of floats
+    ours = ci_clopper_pearson(QberEstimate(np.int64(k), np.int64(n)), confidence)
+    assert ours == ci_clopper_pearson(QberEstimate(k, n), confidence)
+
+
+def test_clopper_pearson_bounds_are_the_ufunc_quantiles():
+    """On ordinary cases every bound passes its check, so it is the beta
+    quantile itself, to the last bit of scipy.special's ufunc."""
+    rng = np.random.default_rng(16)
+    for _ in range(500):
+        n = int(np.rint(10.0 ** rng.uniform(0.0, 6.0)))
+        k = int(rng.integers(0, n + 1))
+        confidence = float(rng.uniform(0.9, 0.999))
+        half_alpha = (1.0 - confidence) / 2.0
+        ci = ci_clopper_pearson(QberEstimate(k, n), confidence)
+        lower = 0.0 if k == 0 else float(scipy.special.betaincinv(k, n - k + 1, half_alpha))
+        upper = 1.0 if k == n else 1.0 - float(scipy.special.betaincinv(n - k, k + 1, half_alpha))
+        assert (ci.lower, ci.upper) == (lower, upper), (k, n, confidence)
+
+
 def _count_tails(monkeypatch) -> Counter:
     """Wrap stats.bdtr/bdtrc as the benchmark does, counting every call."""
     for name in ("bdtr", "bdtrc"):
