@@ -20,10 +20,14 @@ library's `statistics.NormalDist`, which implements Wichura's algorithm AS 241
 (PPND16); `statistics` is imported on the first quantile, not with this module.
 
 Only Clopper-Pearson needs scipy: the beta quantile `betaincinv` gives each
-bound, and the binomial tails `bdtr` and `bdtrc` check it. Importing
-`scipy.special` takes about 0.3 s, so it happens on the first Clopper-Pearson
-call or the first access to `stats.betaincinv`, `stats.bdtr` or `stats.bdtrc`,
-not when this module is imported.
+bound, and two evaluations of a binomial tail check it. The tails `bdtr`
+(P[X <= k]) and `bdtrc` (P[X > k]) are this module's own, each one call of
+the regularized incomplete beta function `betainc`. Both scipy functions are
+taken from `scipy.special.cython_special`, whose scalar kernels return the
+ufuncs' doubles at a fraction of their per-call cost. Importing scipy takes
+about 0.35 s, so it happens on the first Clopper-Pearson call, the first tail
+evaluation or the first access to `stats.betainc` or `stats.betaincinv`, not
+when this module is imported.
 """
 
 from __future__ import annotations
@@ -89,30 +93,26 @@ def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     )
 
 
-_SPECIAL = frozenset(("betaincinv", "bdtr", "bdtrc"))
-
-
-def _double_kernel(kernel):
-    """The double specialisation of a scipy `cython_special` function.
-
-    Those fused over float and double dispatch on the Python type of each
-    argument and reject an int, where one taking double converts it as
-    float() does. A kernel that is not fused takes double already."""
-    return getattr(kernel, "__signatures__", {}).get("double", kernel)
+_SPECIAL = frozenset(("betainc", "betaincinv"))
 
 
 def _bind_special() -> None:
-    """Import scipy's beta quantile and binomial tails into this module's
-    globals, keeping any binding already there (a wrapper set with setattr).
-    The quantile is the Cython kernel the `scipy.special` ufunc wraps, which
-    returns the same double without the ufunc's dispatch."""
-    import scipy.special
+    """Import scipy's regularized incomplete beta function and its inverse
+    into this module's globals, keeping any binding already there (a wrapper
+    set with setattr).
+
+    Each is the double specialisation of the `scipy.special.cython_special`
+    kernel that the `scipy.special` ufunc wraps: the same double, without the
+    ufunc's dispatch. A kernel fused over float and double dispatches on the
+    Python type of each argument and rejects an int; its double
+    specialisation converts one as float() does. A kernel that is not fused
+    takes double already."""
     from scipy.special import cython_special
 
     namespace = globals()
-    namespace.setdefault("betaincinv", _double_kernel(cython_special.betaincinv))
-    for name in ("bdtr", "bdtrc"):
-        namespace.setdefault(name, getattr(scipy.special, name))
+    for name in _SPECIAL:
+        kernel = getattr(cython_special, name)
+        namespace.setdefault(name, getattr(kernel, "__signatures__", {}).get("double", kernel))
 
 
 def __getattr__(name: str):
@@ -121,6 +121,24 @@ def __getattr__(name: str):
         _bind_special()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def bdtr(k: int, n: int, p: float) -> float:
+    """P[Bin(n, p) <= k] = I_{1-p}(n - k, k + 1), for 0 <= k < n."""
+    try:
+        return betainc(n - k, k + 1, 1.0 - p)
+    except NameError:  # scipy is not imported yet
+        _bind_special()
+        return betainc(n - k, k + 1, 1.0 - p)
+
+
+def bdtrc(k: int, n: int, p: float) -> float:
+    """P[Bin(n, p) > k] = I_p(k + 1, n - k), for 0 <= k < n."""
+    try:
+        return betainc(k + 1, n - k, p)
+    except NameError:  # scipy is not imported yet
+        _bind_special()
+        return betainc(k + 1, n - k, p)
 
 
 def _certified(root_above: Callable[[float], bool], guess: float) -> float:
@@ -146,9 +164,12 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
     either side: the tail must cross alpha/2 between them, so the bound lies
     within 1e-9 of the root whatever scipy's quantile does. Only a bound that
     fails the check is found by bisection instead, to the same tolerance.
-    scipy's betaincinv, bdtr and bdtrc are imported on the first call. Each
-    evaluation looks them up as this module's globals, so a wrapper set on
-    `stats.bdtr` or `stats.bdtrc` sees every call.
+    The tails are `bdtrc` for the lower bound and `bdtr` for the upper, both
+    scipy's `betainc`, so the check and the bisection evaluate the same
+    function as the quantile inverts. scipy's Cython `betaincinv` and
+    `betainc` are imported on the first call. Each evaluation looks the tails
+    up as this module's globals, so a wrapper set on `stats.bdtr` or
+    `stats.bdtrc` sees every call.
     """
     check_confidence(confidence)
     if not globals().keys() >= _SPECIAL:

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.special
 
 import bb84sim
 from bb84sim import cli
@@ -98,6 +99,17 @@ def test_ci_loads_scipy_and_prints_the_same_bytes(tmp_path):
     printed, loaded = _run(CLI_SNIPPET.format(argv=argv), tmp_path)
     assert "scipy" in loaded
     assert printed == CI_3_100 + "0\n"
+
+
+@pytest.mark.parametrize("tail, a, b, x", [
+    ("bdtr", 97, 4, 0.95), ("bdtrc", 4, 97, 0.05),
+])
+def test_a_binomial_tail_loads_scipy_on_its_first_call(tail, a, b, x, tmp_path):
+    code = ("import sys\nfrom bb84sim import stats\n"
+            f"print(repr(stats.{tail}(3, 100, 0.05)))\n") + LOADED
+    printed, loaded = _run(code, tmp_path)
+    assert "scipy" in loaded
+    assert float(printed) == float(scipy.special.betainc(a, b, x))
 
 
 def test_two_worker_sweep_writes_the_bytes_of_one_worker(tmp_path, monkeypatch, capsys):
