@@ -54,10 +54,10 @@ SEED_ENV_VAR = "BB84SIM_SEED"
 # Peak allocation of one run_session per qubit, for sessions of 10^5 qubits
 # and more. The CLI runs only counts-only sessions, for sweeps and trials:
 # tracemalloc reads 14.0-19.0 B at the default sample fraction and
-# 16.0-21.0 B as it nears 1 (the sample indices are int64), least at f = 0
-# and p = 0, where it skips the most blocks. The bound also covers a library
-# session with the ledger, which reads 20.0 B and 22.0 B.
-SESSION_BYTES_PER_QUBIT = 28
+# 16.0-21.01 B as it nears 1 (the sample indices are int64), least at f = 0
+# and p = 0, where it skips the most blocks. The charge also covers a
+# library session with the ledger, which reads 20.0 B and 22.01 B.
+SESSION_BYTES_PER_QUBIT = 23
 
 # Peak allocation of a sweep per per-trial row: run_sweep, then both files
 # formatted. tracemalloc reads 2.06-2.19 kB a row for JSON and 0.36-0.60 kB
