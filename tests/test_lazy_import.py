@@ -2,8 +2,8 @@
 functions that draw or bin, the thread pool only for more than one worker,
 `json` and `csv` only by the formats that write them, scipy only when a
 Clopper-Pearson interval or a binomial tail is computed and `statistics`
-only when a normal quantile is. None of them loads with the package or for the security
-threshold, yet every bb84sim module still does.
+only when a normal quantile is. None of them loads with the package or for
+the security threshold, yet every bb84sim module still does.
 
 Each check runs in a fresh interpreter, because this test session has
 already imported numpy and scipy (test_stats.py takes its reference values

@@ -199,10 +199,9 @@ def test_clopper_pearson_matches_scratch_oracle():
         assert ours.upper == pytest.approx(hi, abs=5e-9), k
 
 
-CP_SCALAR_CASES = [(3, 100, 0.95), (0, 10, 0.999), (10, 10, 0.9), (250_000, 1_000_000, 0.99)]
-
-
-@pytest.mark.parametrize("k, n, confidence", CP_SCALAR_CASES)
+@pytest.mark.parametrize("k, n, confidence", [
+    (3, 100, 0.95), (0, 10, 0.999), (10, 10, 0.9), (250_000, 1_000_000, 0.99),
+])
 def test_clopper_pearson_takes_numpy_integer_counts(k, n, confidence):
     # scipy's fused Cython kernels reject numpy integers in place of floats
     ours = ci_clopper_pearson(QberEstimate(np.int64(k), np.int64(n)), confidence)
