@@ -135,7 +135,7 @@ def _no_session(*args, **kwargs):
     # no more sessions run at once than a point has trials
     (["sweep", "--f-step", "0.5", "--trials", "2", "--qubits", "1000", "--workers", "100000"],
      2 * 1000 * cli.SESSION_BYTES_PER_QUBIT),
-])
+], ids=["trial", "sweep-3-workers", "sweep-2-trials"])
 def test_session_too_large_for_the_host_is_a_usage_error(
         argv, need, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "_physical_memory", lambda: 20_000)
