@@ -13,10 +13,10 @@ Sessions are pure functions of their config. `run_session` is vectorized over
 the whole qubit train with numpy and is the only implementation of the
 physics; tests check its ledger against the per-qubit rules. Every random
 block, 0/1 or event, is drawn a run at a time as raw PCG64 words, byte for
-byte the `rng.integers` and `rng.random` draws that define the stream.
-Sweeps call it with ledger=False, which returns the same counts without the
-ledger and passes the random blocks no count reads with a plain `advance`,
-leaving the stream as is.
+byte the `rng.integers` and `rng.random` draws that define the stream. A
+block that no returned value reads is passed with a plain `advance`, which
+leaves the stream as is; sweeps call it with ledger=False, which returns
+the same counts without the ledger.
 
 numpy is imported by each function that calls it, not with the module, so
 `import bb84sim` and the security threshold run without it. Once numpy is
@@ -178,8 +178,9 @@ def _blocks(rng: np.random.Generator, n: int, read: tuple[bool, ...],
     PCG64 words, leaving the generator where the draws that define the
     stream would: consecutive `rng.integers(0, 2, n, dtype=np.uint8)` 0/1
     blocks, or with `prob` consecutive `rng.random(n) < prob` event blocks
-    as 0/1 uint8. An unread block is not generated and comes back as a
-    constant: 0, or `prob`, which must then be 0 or 1.
+    as 0/1 uint8. `run_session` reads a block only where a value it returns
+    reads it; an unread one is not generated and comes back as a constant:
+    0, or `prob`, which must then be 0 or 1.
 
     Precondition: PCG64 holds no buffered uint32 half-word. `run_session`
     meets it, since every run before each call takes whole words.
@@ -286,20 +287,20 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     leaving the same generator state, so every output byte is the one
     those draws would give.
 
-    With ledger=False the session returns only its counts, with records
-    None, and skips each block they cannot read. Eve's intercept events at
-    f = 0 or 1 and the channel's at p = 0 or 1 are constants. Eve's reads
-    are skipped always: one is random only where her basis is wrong, and
-    then her resend meets Bob's basis wrong at every sifted position, so
-    his own draw decides the bit at any p. The channel's bits are skipped
-    at p = 0, where no event fires to read them. At f = 0 nothing is
-    resent, so Eve's bases and Bob's reads are skipped: a sifted position
-    reads his draw only after a wrong-basis resend. A skipped 0/1 block
-    enters the physics as 0, so on this path `_measure`'s Eve reads, and
-    its flips at her wrong-basis resends, are not the ledger's. Nothing
-    reads them, and a split of the errors by cause counts neither: an
-    error at such a resend is Eve's, and the channel's are its flips where
-    she did not disturb the qubit. The counts equal the ledger session's.
+    A block is generated only where a value the session returns reads it.
+    Eve's intercept events at f = 0 or 1 and the channel's at p = 0 or 1
+    are constants, and at p = 0 no event reads the channel's bits. With
+    ledger=False the session returns only its counts, with records None,
+    and they read fewer blocks. Never Eve's reads: one is random only where
+    her basis is wrong, and then her resend meets Bob's basis wrong at
+    every sifted position, so his own draw decides the bit at any p. At
+    f = 0 nothing is resent, so neither Eve's bases nor Bob's reads: a
+    sifted position reads his draw only after a wrong-basis resend. A
+    skipped 0/1 block enters the physics as 0, so here `_measure`'s Eve
+    reads, and its flips at her wrong-basis resends, are not the ledger's.
+    Nothing reads them, and a split of the errors by cause counts neither:
+    an error at such a resend is Eve's, and the channel's are its flips
+    where she did not disturb the qubit. The counts equal the ledger's.
 
     Raises EmptySampleError when the sample would be empty; transmit more
     qubits.
@@ -313,11 +314,11 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     p = config.channel.depolarizing_p
 
     alice_bits, alice_bases = _blocks(rng, n, (True, True))
-    resent, = _blocks(rng, n, (ledger or 0 < f < 1,), f)
+    resent, = _blocks(rng, n, (0 < f < 1,), f)
     eve_bases, eve_draws = _blocks(rng, n, (ledger or f > 0, ledger))
-    depolarized, = _blocks(rng, n, (ledger or 0 < p < 1,), p)
+    depolarized, = _blocks(rng, n, (0 < p < 1,), p)
     channel_draws, bob_bases, bob_draws = _blocks(
-        rng, n, (ledger or p > 0, True, ledger or f > 0))
+        rng, n, (p > 0, True, ledger or f > 0))
 
     sifted = alice_bases == bob_bases
     sifted_count, sample_idx = _sample(rng, sifted, config.sample_fraction)
@@ -335,7 +336,7 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
         records = TransmissionLedger(
             alice_bits=alice_bits,
             alice_bases=alice_bases,
-            eve_intercepted=resent.view(bool),
+            eve_intercepted=resent.view(bool) if resent.ndim else np.full(n, bool(resent)),
             eve_bases=eve_bases,
             eve_bits=eve_bits,
             channel_flipped=flips.view(bool),

@@ -78,9 +78,11 @@ def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     """Wilson score interval.
 
     Centre (p-hat + z^2/2n) / (1 + z^2/n), half-width
-    (z / (1 + z^2/n)) * sqrt(p-hat (1 - p-hat)/n + z^2/4n^2). The exact
-    interval contains p-hat; the bounds are clamped to it because at k = 0
-    or k = n rounding can leave the nearer bound on the wrong side by ~1e-17.
+    (z / (1 + z^2/n)) * sqrt(p-hat (1 - p-hat)/n + z^2/4n^2); at k = n the
+    lower bound is 1 / (1 + z^2/n), which centre - half would round so that
+    it can fall as n grows. The exact interval contains p-hat; the bounds
+    are clamped to it because at k = 0 or k = n rounding can leave the
+    nearer bound on the wrong side by ~1e-17.
     """
     z = normal_quantile(confidence)
     n = est.compared_n
@@ -88,8 +90,9 @@ def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     z2n = z * z / n
     centre = (p + z2n / 2.0) / (1.0 + z2n)
     half = (z / (1.0 + z2n)) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
+    lower = 1.0 / (1.0 + z2n) if p == 1.0 else centre - half
     return ConfidenceInterval(
-        max(0.0, min(p, centre - half)), min(1.0, max(p, centre + half))
+        max(0.0, min(p, lower)), min(1.0, max(p, centre + half))
     )
 
 

@@ -72,6 +72,22 @@ def test_session_bytes_are_golden(f, p, n):
     assert session_digest(f, p, n) == GOLDEN[(f, p, n)]
 
 
+GOLDEN_FP = list(dict.fromkeys((f, p) for f, p, _ in GOLDEN))
+
+
+@pytest.mark.parametrize("f, p", GOLDEN_FP, ids=[
+    f"f{f}-{'ideal' if p is None else f'p{p}'}" for f, p in GOLDEN_FP])
+def test_ledger_columns_are_whole_writable_arrays(f, p):
+    """Every ledger column is a contiguous, writable array of length n,
+    also where its block was not generated and its value is a constant."""
+    channel = ChannelModel.depolarizing(p) if p is not None else ChannelModel.ideal()
+    records = run_session(SessionConfig(1_001, EveStrategy(f), channel)).records
+    for name in COLUMNS:
+        column = getattr(records, name)
+        assert column.shape == (1_001,), name
+        assert column.flags.c_contiguous and column.flags.writeable, name
+
+
 def _uint32_buffer(bitgen):
     """PCG64's state with its uint32 buffer as it affects later draws: the
     `uinteger` a used half-word leaves behind is stale and never read."""
@@ -198,17 +214,22 @@ def test_event_fires_exactly_where_the_double_is_below_prob(prob):
 # each unread block at either end of a run generates none; an event block is
 # 50,000 words, or none when unread.
 @pytest.mark.parametrize("f, p, ledger, words", [
-    pytest.param(0.35, 0.0, True, 143_750, id="ledger"),
+    pytest.param(0.35, 0.0, True, 87_500, id="ledger"),
+    pytest.param(0.0, 0.0, True, 37_500, id="ledger-f0-p0"),
+    pytest.param(1.0, 1.0, True, 43_750, id="ledger-f1-p1"),
+    pytest.param(0.35, 0.05, True, 143_750, id="ledger-f-p"),
     pytest.param(0.35, 0.0, False, 81_250, id="f-p0"),
     pytest.param(0.0, 0.0, False, 18_750, id="f0-p0"),
     pytest.param(0.35, 0.05, False, 137_500, id="f-p"),
     pytest.param(0.0, 0.05, False, 75_000, id="f0-p"),
 ])
 def test_session_generates_only_the_bit_words_its_counts_read(f, p, ledger, words, monkeypatch):
-    """The raw words of a session's random blocks, `choice` aside. The
-    ledger session reads all nine; the counts-only one leaves out Eve's
-    reads, the channel's bits and events at p = 0, and Eve's bases, her
-    events and Bob's reads at f = 0."""
+    """The raw words of a session's random blocks, `choice` aside. A
+    block is generated only where a value the session returns reads it.
+    Neither session reads Eve's events at f = 0 or 1, the channel's at
+    p = 0 or 1, or the channel's bits at p = 0. The ledger reads every other
+    block, as at f = 0.35, p = 0.05; the counts also leave out Eve's reads,
+    and at f = 0 Eve's bases and Bob's reads."""
     bitgens = []
 
     def counting_rng(seed):
