@@ -13,10 +13,14 @@ Sessions are pure functions of their config. `run_session` is vectorized over
 the whole qubit train with numpy and is the only implementation of the
 physics; tests check its ledger against the per-qubit rules. Every random
 block, 0/1 or event, is drawn a run at a time as raw PCG64 words, byte for
-byte the `rng.integers` and `rng.random` draws that define the stream. A
-block that no returned value reads is passed with a plain `advance`, which
-leaves the stream as is; sweeps call it with ledger=False, which returns
-the same counts without the ledger.
+byte the `rng.integers` and `rng.random` draws that define the stream. The
+physics works on those bytes as they are: a 0/1 value is bit 7 of its
+byte, an event block is a 0x00/0xFF mask, and the bits are tracked as
+errors, differences from Alice's bit. Only the ledger turns its columns
+into 0/1 values. A block that no returned value reads is passed with a
+plain `advance`, which leaves the stream as is, and enters the physics as
+the constant 0, which skips every term that reads it. Sweeps call it with
+ledger=False, which returns the same counts without the ledger.
 
 numpy is imported by each function that calls it, not with the module, so
 `import bb84sim` and the security threshold run without it. Once numpy is
@@ -177,10 +181,13 @@ def _blocks(rng: np.random.Generator, n: int, read: tuple[bool, ...],
     """A run of adjacent blocks of n draws, one per flag of `read`, from raw
     PCG64 words, leaving the generator where the draws that define the
     stream would: consecutive `rng.integers(0, 2, n, dtype=np.uint8)` 0/1
-    blocks, or with `prob` consecutive `rng.random(n) < prob` event blocks
-    as 0/1 uint8. `run_session` reads a block only where a value it returns
-    reads it; an unread one is not generated and comes back as a constant:
-    0, or `prob`, which must then be 0 or 1.
+    blocks, or with `prob` consecutive `rng.random(n) < prob` event blocks.
+    A 0/1 block comes back as the raw bytes the draw reads, its value in
+    bit 7, and an event block as a uint8 mask, 0xFF where the event fires
+    and 0x00 elsewhere. `run_session` reads a block only where a value it
+    returns reads it; an unread one is not generated and comes back as a
+    constant: 0, or with `prob`, which must then be 0 or 1, the mask 0x00
+    or 0xFF.
 
     Precondition: PCG64 holds no buffered uint32 half-word. `run_session`
     meets it, since every run before each call takes whole words.
@@ -217,29 +224,81 @@ def _blocks(rng: np.random.Generator, n: int, read: tuple[bool, ...],
         bitgen.state = state
     if prob is None:
         data = words.astype("<u8", copy=False).view(np.uint8)
-        return [data[4 * (i * h - 2 * lo):][:n] >> 7 if r else np.uint8(0)
+        return [data[4 * (i * h - 2 * lo):][:n] if r else np.uint8(0)
                 for i, r in enumerate(read)]
     threshold = (math.ceil(prob * 2**53) << 11) - 1
-    return [(words[i * n - lo:][:n] <= threshold).view(np.uint8) if r
-            else np.uint8(prob) for i, r in enumerate(read)]
+    masks = [(words[i * n - lo:][:n] <= threshold).view(np.uint8) if r
+             else np.uint8(0xFF if prob else 0) for i, r in enumerate(read)]
+    for mask in masks:
+        if mask.ndim:
+            np.subtract(0, mask, out=mask)  # 0 - 1 is 0xFF in uint8
+    return masks
+
+
+def _skipped(x) -> bool:
+    """Whether x is the constant 0 that stands for a block not generated or
+    for events that never fire."""
+    return x.ndim == 0 and not x
+
+
+def _and(x, mask):
+    """x & mask as a new array, or the constant 0 where either is that
+    constant."""
+    return x if _skipped(x) else mask if _skipped(mask) else x & mask
+
+
+def _xor(out, x):
+    """out ^ x, written into out where both are arrays, so out must be an
+    array that nothing else holds; where either is the constant 0, the
+    other."""
+    if _skipped(out) or _skipped(x):
+        return x if _skipped(out) else out
+    out ^= x
+    return out
+
+
+def _select(draw, mask, alice_bits, error=None):
+    """(draw ^ alice_bits ^ error) & mask as a new array: the change to an
+    error, a bit's difference from Alice's, that sets it to the draw's where
+    mask is set; None is no error. This is the select d ^ ((a ^ d) & m), a
+    where m is set and d elsewhere, taken relative to Alice's bit. Where the
+    draw or the mask is the constant 0, so is the change, at no cost."""
+    if _skipped(draw) or _skipped(mask):
+        return draw if _skipped(draw) else mask
+    out = draw ^ alice_bits
+    if error is not None:
+        out = _xor(out, error)
+    out &= mask
+    return out
 
 
 def _measure(alice_bits, alice_bases, resent, eve_bases, eve_draws,
              depolarized, channel_draws, bob_bases, bob_draws):
-    """The per-qubit physics on 0/1 uint8 arrays, or on 0-d constants that
-    broadcast: returns Eve's reads, the channel's flips and Bob's reads.
+    """The per-qubit physics on the blocks of `_blocks`: bytes read at bit
+    7, 0x00/0xFF event masks, or 0-d constants that broadcast. Returns
+    Eve's error, the channel's flips and Bob's error, each read at bit 7;
+    an error is a bit's difference from Alice's.
 
-    Selects are bitwise: d ^ ((a ^ d) & m) is a where m is 1 and d where it
-    is 0.
+    A term whose draw or mask is the constant 0 is skipped: every term of a
+    block not generated, and of events that never fire, as the whole
+    channel at p = 0. Arrays made here are updated in place, so at most
+    five of them are live at once.
     """
-    # Eve measures: her own basis reads Alice's bit, a mismatch reads noise.
-    eve_bits = alice_bits ^ ((eve_draws ^ alice_bits) & (eve_bases ^ alice_bases))
-    state_bits = alice_bits ^ ((eve_bits ^ alice_bits) & resent)
-    state_bases = alice_bases ^ ((eve_bases ^ alice_bases) & resent)
-    flips = (channel_draws ^ state_bits) & depolarized
-    state_bits ^= flips
-    bob_bits = state_bits ^ ((bob_draws ^ state_bits) & (bob_bases ^ state_bases))
-    return eve_bits, flips, bob_bits
+    # Eve measures: her own basis reads Alice's bit, a mismatch her draw.
+    eve_wrong = alice_bases if _skipped(eve_bases) else eve_bases ^ alice_bases
+    eve_err = _select(eve_draws, eve_wrong, alice_bits)
+    # She resends what she read, in her basis, where she intercepts.
+    sent_err, sent_wrong = _and(eve_err, resent), _and(eve_wrong, resent)
+    del eve_wrong
+    # The channel replaces the bit by its draw where it depolarizes.
+    flips = _select(channel_draws, depolarized, alice_bits, sent_err)
+    state_err = _xor(sent_err, flips)
+    del sent_err
+    # Bob reads the state's bit in its own basis, his draw in the other.
+    bob_wrong = _xor(bob_bases ^ alice_bases, sent_wrong)
+    del sent_wrong
+    bob_err = _xor(_select(bob_draws, bob_wrong, alice_bits, state_err), state_err)
+    return eve_err, flips, bob_err
 
 
 def _sample(rng: np.random.Generator, sifted: np.ndarray,
@@ -285,7 +344,11 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     channel bits with Bob's pair), and each run is drawn at once as raw
     PCG64 words (see `_blocks`): the same values from the same words,
     leaving the same generator state, so every output byte is the one
-    those draws would give.
+    those draws would give. The session computes on the blocks' raw bytes
+    (see `_measure`): a position is sifted where bit 7 of alice_bases ^
+    bob_bases is 0, and errors_k counts bit 7 of Bob's error at the
+    sampled positions. Only the ledger converts its columns to 0/1, each
+    in place on a buffer the session already holds.
 
     A block is generated only where a value the session returns reads it.
     Eve's intercept events at f = 0 or 1 and the channel's at p = 0 or 1
@@ -296,11 +359,13 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     every sifted position, so his own draw decides the bit at any p. At
     f = 0 nothing is resent, so neither Eve's bases nor Bob's reads: a
     sifted position reads his draw only after a wrong-basis resend. A
-    skipped 0/1 block enters the physics as 0, so here `_measure`'s Eve
-    reads, and its flips at her wrong-basis resends, are not the ledger's.
-    Nothing reads them, and a split of the errors by cause counts neither:
-    an error at such a resend is Eve's, and the channel's are its flips
-    where she did not disturb the qubit. The counts equal the ledger's.
+    skipped 0/1 block enters the physics as the constant 0 and its terms
+    are skipped, so here `_measure`'s Eve error is 0, and its flips at her
+    wrong-basis resends, and at f = 0 Bob's error where he is not sifted,
+    are not the ledger's. Nothing reads them, and a split of the errors by
+    cause counts none: an error at such a resend is Eve's, and the
+    channel's are its flips where she did not disturb the qubit. The
+    counts equal the ledger's.
 
     Raises EmptySampleError when the sample would be empty; transmit more
     qubits.
@@ -320,17 +385,24 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     channel_draws, bob_bases, bob_draws = _blocks(
         rng, n, (p > 0, True, ledger or f > 0))
 
-    sifted = alice_bases == bob_bases
+    sifted = (alice_bases ^ bob_bases) < 0x80
     sifted_count, sample_idx = _sample(rng, sifted, config.sample_fraction)
     sample_size = sample_idx.size
 
-    eve_bits, flips, bob_bits = _measure(
+    eve_err, flips, bob_err = _measure(
         alice_bits, alice_bases, resent, eve_bases, eve_draws,
         depolarized, channel_draws, bob_bases, bob_draws)
-    errors_k = int(np.count_nonzero((alice_bits ^ bob_bits).take(sample_idx)))
+    errors_k = int(np.count_nonzero(bob_err.take(sample_idx) >> 7)) if bob_err.ndim else 0
 
     records = None
     if ledger:
+        # The ledger's 0/1 columns, each made in place from its bytes.
+        eve_err ^= alice_bits
+        bob_err ^= alice_bits
+        for column in (alice_bits, alice_bases, resent, eve_bases, eve_err,
+                       flips, bob_bases, bob_err):
+            if column.ndim:
+                np.right_shift(column, 7, out=column)
         sampled = np.zeros(n, dtype=bool)
         sampled[sample_idx] = True
         records = TransmissionLedger(
@@ -338,10 +410,10 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
             alice_bases=alice_bases,
             eve_intercepted=resent.view(bool) if resent.ndim else np.full(n, bool(resent)),
             eve_bases=eve_bases,
-            eve_bits=eve_bits,
-            channel_flipped=flips.view(bool),
+            eve_bits=eve_err,
+            channel_flipped=flips.view(bool) if flips.ndim else np.zeros(n, dtype=bool),
             bob_bases=bob_bases,
-            bob_bits=bob_bits,
+            bob_bits=bob_err,
             sifted=sifted,
             sampled=sampled,
         )

@@ -149,12 +149,13 @@ RUNS = [
 def test_random_bits_match_integers_draw(n, earlier):
     """For every run of `RUNS`, each read block of `_blocks(rng, n, read,
     prob)` is the matching one of k consecutive draws, each unread one is
-    the constant 0 or prob, and the generator is left where those draws
-    leave it: the same state and uint32 buffer, and the same next
-    `integers`, `random` and `choice` draws. A 0/1 block is the draw
-    `rng.integers(0, 2, n, dtype=np.uint8)`, an event block
-    `rng.random(n) < prob`. The helper generates only the words of
-    `words_generated`, so an unread block at a word boundary costs none.
+    the constant 0, or 0xFF for events at prob 1, and the generator is left
+    where those draws leave it: the same state and uint32 buffer, and the
+    same next `integers`, `random` and `choice` draws. A 0/1 block's bit 7
+    is the draw `rng.integers(0, 2, n, dtype=np.uint8)`, and an event block
+    is 0xFF exactly where `rng.random(n) < prob` and 0x00 elsewhere. The
+    helper generates only the words of `words_generated`, so an unread
+    block at a word boundary costs none.
 
     `run_session` calls the helper on a fresh generator or after a run of
     whole words, which leaves the buffer empty, as the helper requires;
@@ -167,16 +168,17 @@ def test_random_bits_match_integers_draw(n, earlier):
         if prob is None:
             expected = [ref.integers(0, 2, n, dtype=np.uint8) for _ in read]
         else:
-            expected = [(ref.random(n) < prob).view(np.uint8) for _ in read]
+            expected = [np.where(ref.random(n) < prob, 0xFF, 0).astype(np.uint8)
+                        for _ in read]
         got = _blocks(rng, n, read, prob)
         case = prob, read
         assert len(got) == len(read)
         for block, want, is_read in zip(got, expected, read):
             if is_read:
-                assert block.dtype == want.dtype
-                assert np.array_equal(block, want), case
+                assert block.dtype == want.dtype and block.shape == want.shape, case
+                assert np.array_equal(block >> 7 if prob is None else block, want), case
             else:
-                assert block.shape == () and block == (prob or 0), case
+                assert block.shape == () and block == (0xFF if prob else 0), case
         assert rng.bit_generator.words == words_generated(n, read, prob), case
         assert _uint32_buffer(rng.bit_generator) == _uint32_buffer(ref.bit_generator), case
         for draw in NEXT_DRAWS:
@@ -197,9 +199,9 @@ class FixedWordsPCG64(np.random.PCG64):
 @pytest.mark.parametrize("prob", [0.0, 1e-300, 2**-53, 0.35, 0.5, 1 - 2**-53, 1.0])
 def test_event_fires_exactly_where_the_double_is_below_prob(prob):
     """numpy's double from a PCG64 word is (word >> 11) / 2**53, and an
-    event block fires on a word exactly where that double is below prob,
-    checked on the words at either side of the threshold, where random
-    draws never land."""
+    event block is 0xFF on a word exactly where that double is below prob
+    and 0x00 elsewhere, checked on the words at either side of the
+    threshold, where random draws never land."""
     raw = np.random.PCG64(7).random_raw(5)
     assert np.array_equal(np.random.default_rng(7).random(5), (raw >> 11) / 2**53)
     edge = math.ceil(prob * 2**53) << 11
@@ -207,7 +209,7 @@ def test_event_fires_exactly_where_the_double_is_below_prob(prob):
                          edge - 1, edge, edge + 2**11 - 1, edge + 2**11, 2**64 - 1)
              if 0 <= w < 2**64]
     got, = _blocks(np.random.Generator(FixedWordsPCG64(words)), len(words), (True,), prob)
-    assert got.tolist() == [int((w >> 11) / 2**53 < prob) for w in words]
+    assert got.tolist() == [0xFF if (w >> 11) / 2**53 < prob else 0 for w in words]
 
 
 # At n = 50,000 a 0/1 block is 12,500 uint32 draws, 6,250 whole words, so
