@@ -22,6 +22,10 @@ class CIMethod(enum.Enum):
     CLOPPER_PEARSON = "clopper-pearson"
     HOEFFDING = "hoeffding"
 
+    # Members are singletons, so hash by identity: Enum's own hash runs Python
+    # code on every lookup in a dict keyed by method.
+    __hash__ = object.__hash__
+
 
 class Decision(enum.Enum):
     """Outcome of the security check on the estimated error rate."""

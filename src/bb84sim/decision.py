@@ -87,4 +87,4 @@ def decide(
         qber_used = interval.upper
     else:
         raise ValueError(f"unknown policy {policy!r}")
-    return SecurityVerdict(qber_used=qber_used, threshold=threshold_root())
+    return SecurityVerdict(qber_used, threshold_root())

@@ -18,6 +18,8 @@ accuracy/robustness trade-offs for a binomial proportion:
 All functions are pure. The standard-normal quantile comes from the standard
 library's `statistics.NormalDist`, which implements Wichura's algorithm AS 241
 (PPND16); `statistics` is imported on the first quantile, not with this module.
+Each level's quantile is computed once and then kept in a small cache, so
+Wald, Wilson and the aggregate do not rerun AS 241 for a level they have seen.
 
 Only Clopper-Pearson needs scipy: the beta quantile `betaincinv` gives each
 bound, and two evaluations of a binomial tail check it. The tails `bdtr`
@@ -25,9 +27,9 @@ bound, and two evaluations of a binomial tail check it. The tails `bdtr`
 the regularized incomplete beta function `betainc`. Both scipy functions are
 taken from `scipy.special.cython_special`, whose scalar kernels return the
 ufuncs' doubles at a fraction of their per-call cost. Importing scipy takes
-about 0.35 s, so it happens on the first Clopper-Pearson call, the first tail
-evaluation or the first access to `stats.betainc` or `stats.betaincinv`, not
-when this module is imported.
+about 0.35 s, so it happens when a Clopper-Pearson call or a tail evaluation
+first finds its scipy function unbound, or on the first access to
+`stats.betainc` or `stats.betaincinv`, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     BISECT_TOL, CIMethod, ConfidenceInterval, QberEstimate,
@@ -50,12 +52,17 @@ def _standard_normal():
     return NormalDist()
 
 
+@functools.lru_cache(maxsize=64)
 def normal_quantile(two_sided_level: float) -> float:
     """Two-sided standard-normal critical value z with P(|Z| <= z) = level.
 
     normal_quantile(0.95) is the familiar 1.959964... It is computed from
     the tail (1 - level) / 2, which is exact in floating point for every
     level of 1/2 and above; 0.5 + level / 2 would round near 1.
+
+    The values of the last 64 levels asked for are cached. A level is
+    checked whenever it is not in the cache, and a level that fails the
+    check raises without being cached, so it raises on every call.
     """
     check_confidence(two_sided_level)
     return -_standard_normal().inv_cdf((1.0 - two_sided_level) / 2.0)
@@ -144,15 +151,6 @@ def bdtrc(k: int, n: int, p: float) -> float:
         return betainc(k + 1, n - k, p)
 
 
-def _certified(root_above: Callable[[float], bool], guess: float) -> float:
-    """guess, if the root of the monotone predicate root_above lies within
-    BISECT_TOL of it; otherwise the root by bisection. The check always
-    evaluates both sides, so it costs two evaluations whatever it finds."""
-    below = root_above(max(guess - BISECT_TOL, 0.0))
-    above = root_above(min(guess + BISECT_TOL, 1.0))
-    return guess if below and not above else bisect_root(root_above)
-
-
 def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     """Exact (Clopper-Pearson) interval by inverting the binomial tails.
 
@@ -165,17 +163,21 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
 
     Each bound is then checked with two tail evaluations, one BISECT_TOL
     either side: the tail must cross alpha/2 between them, so the bound lies
-    within 1e-9 of the root whatever scipy's quantile does. Only a bound that
-    fails the check is found by bisection instead, to the same tolerance.
-    The tails are `bdtrc` for the lower bound and `bdtr` for the upper, both
+    within 1e-9 of the root whatever scipy's quantile does. Both evaluations
+    are made inline, whatever the first one finds, so a check costs two
+    evaluations. Only a bound that fails the check is found by bisection
+    instead, to the same tolerance; its predicate is built only then. The
+    tails are `bdtrc` for the lower bound and `bdtr` for the upper, both
     scipy's `betainc`, so the check and the bisection evaluate the same
     function as the quantile inverts. scipy's Cython `betaincinv` and
-    `betainc` are imported on the first call. Each evaluation looks the tails
-    up as this module's globals, so a wrapper set on `stats.bdtr` or
-    `stats.bdtrc` sees every call.
+    `betainc` are imported when a call first finds `betaincinv` unbound.
+    Each evaluation looks the tails up as this module's globals, so a
+    wrapper set on `stats.bdtr` or `stats.bdtrc` sees every call.
     """
     check_confidence(confidence)
-    if not globals().keys() >= _SPECIAL:
+    try:
+        betaincinv
+    except NameError:  # scipy is not imported yet
         _bind_special()
     half_alpha = (1.0 - confidence) / 2.0
     k, n = est.errors_k, est.compared_n
@@ -183,18 +185,20 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
         lower = 0.0
     else:
         # P[X >= k] grows monotonically from 0 to 1 as p sweeps [0, 1].
-        lower = _certified(
-            lambda p: bdtrc(k - 1, n, p) < half_alpha,
-            betaincinv(k, n - k + 1, half_alpha),
-        )
+        lower = betaincinv(k, n - k + 1, half_alpha)
+        below = bdtrc(k - 1, n, max(lower - BISECT_TOL, 0.0)) < half_alpha
+        above = bdtrc(k - 1, n, min(lower + BISECT_TOL, 1.0)) < half_alpha
+        if above or not below:
+            lower = bisect_root(lambda p: bdtrc(k - 1, n, p) < half_alpha)
     if k == n:
         upper = 1.0
     else:
         # P[X <= k] falls monotonically from 1 to 0.
-        upper = _certified(
-            lambda p: bdtr(k, n, p) >= half_alpha,
-            1.0 - betaincinv(n - k, k + 1, half_alpha),
-        )
+        upper = 1.0 - betaincinv(n - k, k + 1, half_alpha)
+        below = bdtr(k, n, max(upper - BISECT_TOL, 0.0)) >= half_alpha
+        above = bdtr(k, n, min(upper + BISECT_TOL, 1.0)) >= half_alpha
+        if above or not below:
+            upper = bisect_root(lambda p: bdtr(k, n, p) >= half_alpha)
     return ConfidenceInterval(lower, upper)
 
 
@@ -224,8 +228,13 @@ _CI_FUNCTIONS = {
 def confidence_interval(
     est: QberEstimate, confidence: float, method: CIMethod
 ) -> ConfidenceInterval:
-    """Dispatch to the requested interval construction."""
-    return _CI_FUNCTIONS[method](est, confidence)
+    """Dispatch to the requested interval construction. A method that is
+    not a CIMethod member raises ValueError."""
+    try:
+        construct = _CI_FUNCTIONS[method]
+    except KeyError:
+        raise ValueError(f"unknown interval method {method!r}") from None
+    return construct(est, confidence)
 
 
 def check_trials(trials: int) -> None:

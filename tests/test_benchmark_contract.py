@@ -36,6 +36,27 @@ def test_traced_and_counted_names_resolve():
         assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"
 
 
+def test_the_tracer_sees_every_interval_and_decision_call():
+    # the stats.ci.*, stats.clopper_pearson.tail_evals, decision.* and
+    # core.validations metrics read these spans and counts; a call that went
+    # round the traced names would read 0 there
+    spans = _load("spans")
+    est = bb84sim.QberEstimate(3, 100)
+    with spans.Tracer() as tracer:
+        tracer.install(bb84sim)
+        intervals = {m: bb84sim.confidence_interval(est, 0.95, m) for m in bb84sim.CIMethod}
+        for policy in bb84sim.DecisionPolicy:
+            bb84sim.decide(est, intervals[bb84sim.CIMethod.CLOPPER_PEARSON], policy)
+        bb84sim.key_rate(est.point_estimate)
+    names = Counter(span[2] for span in tracer.spans)
+    for method in bb84sim.CIMethod:
+        assert names[f"stats.ci_{method.name.lower()}"] == 1, method
+    assert names["decision.decide"] == len(bb84sim.DecisionPolicy)
+    assert names["decision.key_rate"] == 1
+    assert tracer.counts == {"stats.bdtr": 2, "stats.bdtrc": 2}
+    assert names["validate.ConfidenceInterval"] == len(bb84sim.CIMethod)
+
+
 def test_allocation_probe_snippet_runs(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))  # probes imports its sibling yardstick
     snippet = _load("probes").ALLOC_SNIPPET

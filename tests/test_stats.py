@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -93,10 +95,24 @@ def test_normal_quantile_extreme_levels():
         assert normal_quantile(level) == pytest.approx(ref, rel=1e-9)
 
 
-@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5])
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, 1.5, math.nan])
 def test_normal_quantile_domain(bad):
-    with pytest.raises(ValueError):
-        normal_quantile(bad)
+    # the quantile is cached per level, but a bad level is never cached: it
+    # raises on every call, also once valid levels are cached
+    for level in QUANTILES:
+        normal_quantile(level)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            normal_quantile(bad)
+
+
+@pytest.mark.parametrize("first", [np.float64, float], ids=["numpy-first", "float-first"])
+def test_normal_quantile_numpy_level_has_the_float_bits(first):
+    # a numpy level and the equal float share one cache entry
+    normal_quantile.cache_clear()
+    for level in (first(0.95), 0.95, np.float64(0.95)):
+        z = normal_quantile(level)
+        assert type(z) is float and z.hex() == "0x1.f5c0331eeff82p+0"
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +398,19 @@ def test_all_methods_bracket_the_point_estimate():
     (CIMethod.HOEFFDING, ci_hoeffding),
 ], ids=["wald", "wilson", "clopper-pearson", "hoeffding"])
 def test_dispatch_calls_the_named_interval(method, function):
+    # CIMethod hashes by identity, which holds because copies are the member
+    copies = (pickle.loads(pickle.dumps(method)), copy.deepcopy(method))
+    assert all(copied is method for copied in copies)
     for k, n in ((0, 40), (7, 40), (40, 40), (6238, 25000)):
         est = QberEstimate(k, n)
-        assert confidence_interval(est, 0.95, method) == function(est, 0.95)
+        for m in (method, *copies):
+            assert confidence_interval(est, 0.95, m) == function(est, 0.95)
+
+
+@pytest.mark.parametrize("method", ["wald", None])
+def test_unknown_interval_method_is_a_value_error(method):
+    with pytest.raises(ValueError, match="unknown interval method"):
+        confidence_interval(QberEstimate(3, 100), 0.95, method)
 
 
 # Property checks over arbitrary (k, n, confidence).
