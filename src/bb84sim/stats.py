@@ -27,9 +27,9 @@ bound, and two evaluations of a binomial tail check it. The tails `bdtr`
 the regularized incomplete beta function `betainc`. Both scipy functions are
 taken from `scipy.special.cython_special`, whose scalar kernels return the
 ufuncs' doubles at a fraction of their per-call cost. Importing scipy takes
-about 0.35 s, so it happens when a Clopper-Pearson call or a tail evaluation
-first finds its scipy function unbound, or on the first access to
-`stats.betainc` or `stats.betaincinv`, not when this module is imported.
+about 0.35 s, so `betainc` and `betaincinv` start as stand-ins: the first
+call of one imports scipy, puts the kernel in the stand-in's place and
+returns the kernel's value. Reading either name imports nothing.
 """
 
 from __future__ import annotations
@@ -45,13 +45,6 @@ from .core import (
 )
 
 
-@functools.cache
-def _standard_normal():
-    from statistics import NormalDist
-
-    return NormalDist()
-
-
 @functools.lru_cache(maxsize=64)
 def normal_quantile(two_sided_level: float) -> float:
     """Two-sided standard-normal critical value z with P(|Z| <= z) = level.
@@ -61,11 +54,14 @@ def normal_quantile(two_sided_level: float) -> float:
     level of 1/2 and above; 0.5 + level / 2 would round near 1.
 
     The values of the last 64 levels asked for are cached. A level is
-    checked whenever it is not in the cache, and a level that fails the
-    check raises without being cached, so it raises on every call.
+    checked, and `statistics` imported, whenever it is not in the cache; a
+    level that fails the check raises without being cached, so it raises on
+    every call.
     """
     check_confidence(two_sided_level)
-    return -_standard_normal().inv_cdf((1.0 - two_sided_level) / 2.0)
+    from statistics import NormalDist
+
+    return -NormalDist().inv_cdf((1.0 - two_sided_level) / 2.0)
 
 
 def ci_wald(est: QberEstimate, confidence: float) -> ConfidenceInterval:
@@ -103,52 +99,41 @@ def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     )
 
 
-_SPECIAL = frozenset(("betainc", "betaincinv"))
+def _scipy_kernel(name: str):
+    """A stand-in for the global `name`, scipy's kernel of that name.
 
+    Its first call imports `scipy.special.cython_special` and takes the
+    kernel's double specialisation: the `scipy.special` ufunc's double,
+    without the ufunc's dispatch. A kernel fused over float and double
+    dispatches on the Python type of each argument and rejects an int; its
+    double specialisation converts one as float() does. A kernel that is
+    not fused takes double already. The kernel then replaces the stand-in,
+    unless a wrapper set with setattr has replaced it already, and is
+    called."""
+    def stand_in(*args):
+        from scipy.special import cython_special
 
-def _bind_special() -> None:
-    """Import scipy's regularized incomplete beta function and its inverse
-    into this module's globals, keeping any binding already there (a wrapper
-    set with setattr).
-
-    Each is the double specialisation of the `scipy.special.cython_special`
-    kernel that the `scipy.special` ufunc wraps: the same double, without the
-    ufunc's dispatch. A kernel fused over float and double dispatches on the
-    Python type of each argument and rejects an int; its double
-    specialisation converts one as float() does. A kernel that is not fused
-    takes double already."""
-    from scipy.special import cython_special
-
-    namespace = globals()
-    for name in _SPECIAL:
         kernel = getattr(cython_special, name)
-        namespace.setdefault(name, getattr(kernel, "__signatures__", {}).get("double", kernel))
+        kernel = getattr(kernel, "__signatures__", {}).get("double", kernel)
+        if globals()[name] is stand_in:
+            globals()[name] = kernel
+        return kernel(*args)
+
+    return stand_in
 
 
-def __getattr__(name: str):
-    # PEP 562: reached only while a scipy function is not yet bound.
-    if name in _SPECIAL:
-        _bind_special()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+betainc = _scipy_kernel("betainc")
+betaincinv = _scipy_kernel("betaincinv")
 
 
 def bdtr(k: int, n: int, p: float) -> float:
     """P[Bin(n, p) <= k] = I_{1-p}(n - k, k + 1), for 0 <= k < n."""
-    try:
-        return betainc(n - k, k + 1, 1.0 - p)
-    except NameError:  # scipy is not imported yet
-        _bind_special()
-        return betainc(n - k, k + 1, 1.0 - p)
+    return betainc(n - k, k + 1, 1.0 - p)
 
 
 def bdtrc(k: int, n: int, p: float) -> float:
     """P[Bin(n, p) > k] = I_p(k + 1, n - k), for 0 <= k < n."""
-    try:
-        return betainc(k + 1, n - k, p)
-    except NameError:  # scipy is not imported yet
-        _bind_special()
-        return betainc(k + 1, n - k, p)
+    return betainc(k + 1, n - k, p)
 
 
 def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
@@ -169,16 +154,18 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
     instead, to the same tolerance; its predicate is built only then. The
     tails are `bdtrc` for the lower bound and `bdtr` for the upper, both
     scipy's `betainc`, so the check and the bisection evaluate the same
-    function as the quantile inverts. scipy's Cython `betaincinv` and
-    `betainc` are imported when a call first finds `betaincinv` unbound.
-    Each evaluation looks the tails up as this module's globals, so a
-    wrapper set on `stats.bdtr` or `stats.bdtrc` sees every call.
+    function as the quantile inverts. Each evaluation looks the tails up as
+    this module's globals, so a wrapper set on `stats.bdtr` or `stats.bdtrc`
+    sees every call.
+
+    Each bound is within BISECT_TOL of its root, so where both roots lie
+    below about 1e-9 the two bounds can cross. At k = 1000, n = 10^12 scipy's
+    betaincinv(1000, b, y) is 2^-26, and the bisected lower bound lies above
+    the upper; at n = 10^18 the upper bound rounds to 0. The lower root is
+    never above the upper, so the lower bound is clamped to the upper and
+    stays within BISECT_TOL of its root.
     """
     check_confidence(confidence)
-    try:
-        betaincinv
-    except NameError:  # scipy is not imported yet
-        _bind_special()
     half_alpha = (1.0 - confidence) / 2.0
     k, n = est.errors_k, est.compared_n
     if k == 0:
@@ -199,7 +186,7 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
         above = bdtr(k, n, min(upper + BISECT_TOL, 1.0)) >= half_alpha
         if above or not below:
             upper = bisect_root(lambda p: bdtr(k, n, p) >= half_alpha)
-    return ConfidenceInterval(lower, upper)
+    return ConfidenceInterval(min(lower, upper), upper)
 
 
 def hoeffding_half_width(compared_n: int, confidence: float) -> float:
@@ -232,7 +219,7 @@ def confidence_interval(
     not a CIMethod member raises ValueError."""
     try:
         construct = _CI_FUNCTIONS[method]
-    except KeyError:
+    except (KeyError, TypeError):  # not a member, or not even hashable
         raise ValueError(f"unknown interval method {method!r}") from None
     return construct(est, confidence)
 

@@ -268,6 +268,14 @@ def test_ci_report_large_sample(monkeypatch, tmp_path, capsys):
     assert widths[3] == max(widths)  # the distribution-free bound is widest
 
 
+@pytest.mark.parametrize("k, n", [("1000", "1000000000000"), ("5", "1000000000000000000")])
+def test_ci_report_at_a_huge_sample(k, n, monkeypatch, tmp_path, capsys):
+    # both exact bounds lie below BISECT_TOL here, where the two found can cross
+    code, out, _ = run_cli(["ci", "--k", k, "--n", n], monkeypatch, tmp_path, capsys)
+    assert code == 0
+    assert "clopper-pearson  [0.000000, 0.000000]" in out
+
+
 # ---------------------------------------------------------------------------
 # trial report
 

@@ -105,11 +105,19 @@ def test_ci_loads_scipy_and_prints_the_same_bytes(tmp_path):
     ("bdtr", 97, 4, 0.95), ("bdtrc", 4, 97, 0.05),
 ])
 def test_a_binomial_tail_loads_scipy_on_its_first_call(tail, a, b, x, tmp_path):
+    """Reading the kernels' names loads nothing; the first call binds betainc."""
     code = ("import sys\nfrom bb84sim import stats\n"
-            f"print(repr(stats.{tail}(3, 100, 0.05)))\n") + LOADED
+            "stand_in = stats.betainc\n"
+            "stats.betaincinv\n"
+            "print('scipy' in sys.modules)\n"
+            f"print(repr(stats.{tail}(3, 100, 0.05)))\n"
+            "print(stats.betainc is stand_in)\n") + LOADED
     printed, loaded = _run(code, tmp_path)
+    read_loaded, value, still_stand_in = printed.split()
+    assert read_loaded == "False"
     assert "scipy" in loaded
-    assert float(printed) == float(scipy.special.betainc(a, b, x))
+    assert float(value) == float(scipy.special.betainc(a, b, x))
+    assert still_stand_in == "False"
 
 
 def test_two_worker_sweep_writes_the_bytes_of_one_worker(tmp_path, monkeypatch, capsys):

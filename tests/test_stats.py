@@ -240,7 +240,7 @@ def test_clopper_pearson_bounds_are_the_ufunc_quantiles():
 def _count_tails(monkeypatch) -> Counter:
     """Wrap stats.bdtr/bdtrc as the benchmark does, counting every call."""
     for name in ("betainc", "betaincinv"):
-        monkeypatch.delitem(vars(stats), name, raising=False)  # as if scipy were never loaded
+        monkeypatch.setattr(stats, name, stats._scipy_kernel(name))  # as if scipy were never loaded
     calls = Counter()
     for name in ("bdtr", "bdtrc"):
         tail = getattr(stats, name)
@@ -332,6 +332,21 @@ def test_clopper_pearson_bounds_lie_within_the_tolerance_of_their_roots(
             assert _brackets(at_most, ci.upper, half_alpha), case
 
 
+@pytest.mark.parametrize("k, n", [
+    (1000, 10**12), (999, 10**14), (5, 10**18), (1, 10**19),
+])
+def test_clopper_pearson_bounds_never_cross_at_huge_n(k, n):
+    """Where both roots lie below BISECT_TOL the bounds found for them can
+    cross: scipy's betaincinv(1000, b, y) is 2^-26 for b near 10^12, and
+    1 - betaincinv rounds the upper bound to 0 at n = 10^18. Too large for
+    the roots test, whose bisection case puts the upper bound below 0 here."""
+    ci = ci_clopper_pearson(QberEstimate(k, n), 0.95)
+    assert 0.0 <= ci.lower <= ci.upper <= 1.0
+    if n <= 10**14:  # past it the oracle sums a million terms or more
+        assert _brackets(lambda p: _binom_tails(k, n, p)[0], ci.lower, 0.025)
+        assert _brackets(lambda p: _binom_tails(k, n, p)[1], ci.upper, 0.025)
+
+
 def test_clopper_pearson_exact_coverage_is_at_least_nominal():
     """Coverage computed exactly (pmf-weighted), not by simulation."""
     for n, p in ((15, 0.3), (40, 0.1)):
@@ -407,7 +422,7 @@ def test_dispatch_calls_the_named_interval(method, function):
             assert confidence_interval(est, 0.95, m) == function(est, 0.95)
 
 
-@pytest.mark.parametrize("method", ["wald", None])
+@pytest.mark.parametrize("method", ["wald", None, ["wald"]])
 def test_unknown_interval_method_is_a_value_error(method):
     with pytest.raises(ValueError, match="unknown interval method"):
         confidence_interval(QberEstimate(3, 100), 0.95, method)
