@@ -6,10 +6,10 @@ index) with a SplitMix64-style mixer, so trials are independent, reorderable,
 and parallelizable: results are keyed by their indices, never by completion
 order, and the output is identical for any worker count.
 
-numpy is imported by the histogram and finite-size runners that call it,
-and `ThreadPoolExecutor` only when a point runs on more than one worker, so
-a 1-worker sweep never loads `concurrent.futures`. The module itself still
-loads with the package, as every bb84sim module does (see protocol).
+`ThreadPoolExecutor` is imported only when a point runs on more than one
+worker, so a 1-worker sweep never loads `concurrent.futures`. The module
+itself still loads with the package, as every bb84sim module does (see
+protocol).
 """
 
 from __future__ import annotations
@@ -210,35 +210,31 @@ def run_histogram(
 ) -> HistogramResult:
     """Distribution of per-trial QBER values at a fixed eavesdropper fraction.
 
-    Bins of the given width cover [max(0, mean - 5 std), mean + 5 std],
-    widened if needed so that every trial lands in some bin; when all trials
-    agree exactly (std = 0) a single bin holds them all. The trials are
-    those of the first point of a sweep with the same master seed.
+    The trials, mean and std are those of a one-point sweep with the same
+    master seed. Bins of the given width cover [max(0, mean - 5 std),
+    mean + 5 std], widened if needed so that every trial lands in some bin;
+    they are half-open but for the last, as in numpy.histogram. When all
+    trials agree (std = 0) one bin [mean, mean + bin_width) holds them all.
     """
-    import numpy as np
+    from bisect import bisect_right
 
     config = SweepConfig((f,), trials, n_qubits, sample_fraction, channel, master_seed)
     if not 0.0 < bin_width < math.inf:
         raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
-    rows = _run_point_trials(config, f, 0)
-    values = np.array([r.qber for r in rows])
-    mean = float(np.mean(values))
-    std = float(np.std(values, ddof=1))
-    if std == 0.0:
-        edges = np.array([mean, mean + bin_width])
-    else:
-        lo = min(max(0.0, mean - 5.0 * std), float(values.min()))
-        hi = max(mean + 5.0 * std, float(values.max()) + bin_width * 1e-9)
-        n_bins = max(1, math.ceil((hi - lo) / bin_width))
-        edges = lo + bin_width * np.arange(n_bins + 1)
-    counts, _ = np.histogram(values, bins=edges)
-    assert int(counts.sum()) == trials
-    return HistogramResult(
-        bin_edges=tuple(float(e) for e in edges),
-        counts=tuple(int(c) for c in counts),
-        mean=mean,
-        std=std,
-    )
+    sweep = run_sweep(config)
+    point = sweep.per_point[0]
+    mean, std = point.mean_qber, point.std_dev
+    values = [r.qber for r in sweep.per_trial_rows]
+    lo = min(max(0.0, mean - 5.0 * std), min(values))
+    hi = max(mean + 5.0 * std, max(values) + bin_width * 1e-9)
+    n_bins = max(1, math.ceil((hi - lo) / bin_width))
+    edges = tuple(lo + bin_width * i for i in range(n_bins + 1))
+    counts = [0] * n_bins
+    for v in values:  # searching edges[:n_bins] closes the last bin
+        if edges[0] <= v <= edges[-1]:
+            counts[bisect_right(edges, v, 0, n_bins) - 1] += 1
+    assert sum(counts) == trials
+    return HistogramResult(bin_edges=edges, counts=tuple(counts), mean=mean, std=std)
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,8 +263,6 @@ def run_finite_size_study(
     interval on that trial's own (k, n) estimate; the per-trial reading is
     what makes "shorter keys give wider intervals" directly visible.
     """
-    import numpy as np
-
     check_increasing("n_values", n_values)
     configs = [
         SweepConfig((f,), trials, n_qubits, sample_fraction, channel, master_seed,
@@ -285,7 +279,7 @@ def run_finite_size_study(
             FiniteSizePoint(
                 n_qubits=config.n_qubits,
                 aggregate=aggregate_trials(estimates, confidence),
-                ci_width=float(np.mean(widths)),
+                ci_width=math.fsum(widths) / len(widths),
             )
         )
     return out

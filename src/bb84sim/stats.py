@@ -148,15 +148,15 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
 
     Each bound is then checked with two tail evaluations, one BISECT_TOL
     either side: the tail must cross alpha/2 between them, so the bound lies
-    within 1e-9 of the root whatever scipy's quantile does. Both evaluations
-    are made inline, whatever the first one finds, so a check costs two
-    evaluations. Only a bound that fails the check is found by bisection
-    instead, to the same tolerance; its predicate is built only then. The
-    tails are `bdtrc` for the lower bound and `bdtr` for the upper, both
-    scipy's `betainc`, so the check and the bisection evaluate the same
-    function as the quantile inverts. Each evaluation looks the tails up as
-    this module's globals, so a wrapper set on `stats.bdtr` or `stats.bdtrc`
-    sees every call.
+    within 1e-9 of the root whatever scipy's quantile does. The check is one
+    bracket test, which a NaN tail fails. Both evaluations are made whatever
+    the first one finds, so a check costs two evaluations. Only a bound that
+    fails the check is found by bisection instead, to the same tolerance;
+    its predicate is built only then. The tails are `bdtrc` for the lower
+    bound and `bdtr` for the upper, both scipy's `betainc`, so the check and
+    the bisection evaluate the same function as the quantile inverts. Each
+    evaluation looks the tails up as this module's globals, so a wrapper set
+    on `stats.bdtr` or `stats.bdtrc` sees every call.
 
     Each bound is within BISECT_TOL of its root, so where both roots lie
     below about 1e-9 the two bounds can cross. At k = 1000, n = 10^12 scipy's
@@ -173,18 +173,18 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
     else:
         # P[X >= k] grows monotonically from 0 to 1 as p sweeps [0, 1].
         lower = betaincinv(k, n - k + 1, half_alpha)
-        below = bdtrc(k - 1, n, max(lower - BISECT_TOL, 0.0)) < half_alpha
-        above = bdtrc(k - 1, n, min(lower + BISECT_TOL, 1.0)) < half_alpha
-        if above or not below:
+        below = bdtrc(k - 1, n, max(lower - BISECT_TOL, 0.0))
+        above = bdtrc(k - 1, n, min(lower + BISECT_TOL, 1.0))
+        if not below < half_alpha <= above:
             lower = bisect_root(lambda p: bdtrc(k - 1, n, p) < half_alpha)
     if k == n:
         upper = 1.0
     else:
         # P[X <= k] falls monotonically from 1 to 0.
         upper = 1.0 - betaincinv(n - k, k + 1, half_alpha)
-        below = bdtr(k, n, max(upper - BISECT_TOL, 0.0)) >= half_alpha
-        above = bdtr(k, n, min(upper + BISECT_TOL, 1.0)) >= half_alpha
-        if above or not below:
+        below = bdtr(k, n, max(upper - BISECT_TOL, 0.0))
+        above = bdtr(k, n, min(upper + BISECT_TOL, 1.0))
+        if not above < half_alpha <= below:
             upper = bisect_root(lambda p: bdtr(k, n, p) >= half_alpha)
     return ConfidenceInterval(min(lower, upper), upper)
 

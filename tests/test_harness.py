@@ -178,14 +178,44 @@ def test_histogram_respects_bin_width():
 
 
 def test_histogram_agrees_with_sweep_rows():
-    """A histogram runs the same trials as the first point of a sweep with
-    the same master seed."""
-    config = SweepConfig(f_values=(1.0,), trials_per_f=12, n_qubits=4_000)
-    rows = run_sweep(config).per_trial_rows
-    hist = run_histogram(1.0, trials=12, n_qubits=4_000)
-    values = [r.qber for r in rows]
-    assert hist.mean == pytest.approx(float(np.mean(values)), abs=1e-15)
-    assert hist.std == pytest.approx(float(np.std(values, ddof=1)), abs=1e-15)
+    """A histogram's mean and std are those of the first point of a sweep
+    with the same master seed, to the bit; np.mean differs here by 5.55e-17."""
+    config = SweepConfig(f_values=(1.0,), trials_per_f=50, n_qubits=4_000)
+    point = run_sweep(config).per_point[0]
+    hist = run_histogram(1.0, trials=50, n_qubits=4_000)
+    assert hist.mean == point.mean_qber
+    assert hist.std == point.std_dev
+
+
+@pytest.mark.parametrize("f, n_qubits, trials, bin_width", [
+    (0.0, 2_000, 50, 0.002),  # std = 0: one bin
+    (1.0, 4_000, 50, 0.002),
+    (0.5, 1_000, 30, 0.01),
+    (0.3, 300, 40, 0.05),
+    (1.0, 50_000, 20, 0.0005),
+    (0.8, 10_000, 25, 0.0037),
+])
+def test_histogram_counts_are_numpy_histograms(f, n_qubits, trials, bin_width):
+    config = SweepConfig(f_values=(f,), trials_per_f=trials, n_qubits=n_qubits)
+    values = [r.qber for r in run_sweep(config).per_trial_rows]
+    hist = run_histogram(f, trials=trials, n_qubits=n_qubits, bin_width=bin_width)
+    counts, _ = np.histogram(values, bins=hist.bin_edges)
+    assert hist.counts == tuple(counts.tolist())
+
+
+def test_histogram_closes_its_last_bin(monkeypatch):
+    """numpy.histogram counts a value on the last edge in the last bin. The
+    edges reach bin_width * 1e-9 past the largest trial, so only bins far
+    narrower than any k/n spacing put a trial there: these 60 stand-in
+    trials lie at 1/4 and 2^-33 either side of it, in bins of 2^-34."""
+    ks = [2**31 - 1, 2**31 + 1] + [2**31] * 58
+    rows = [harness.TrialRow(1.0, t, 0, 2**34, 2**34, 2**33, k, k / 2**33)
+            for t, k in enumerate(ks)]
+    monkeypatch.setattr(harness, "_run_point_trials", lambda *args: rows)
+    hist = run_histogram(1.0, trials=60, bin_width=2**-34)
+    assert hist.bin_edges[-1] == max(r.qber for r in rows)
+    counts, _ = np.histogram([r.qber for r in rows], bins=hist.bin_edges)
+    assert hist.counts == tuple(counts.tolist()) == (1, 0, 58, 1)
 
 
 def test_histogram_std_scales_with_qubit_count():

@@ -270,6 +270,8 @@ def test_clopper_pearson_reads_the_tails_through_the_module(monkeypatch):
 
 @pytest.mark.parametrize("k, n, confidence", [
     (3, 100, 0.95), (0, 10, 0.999), (10, 10, 0.9), (250_000, 1_000_000, 0.99),
+    # the missed upper quantile is below 0, where the right-hand tail is NaN
+    (5, 10**18, 0.95), (0, 10**18, 0.95),
 ])
 def test_clopper_pearson_bisects_a_bound_that_fails_its_check(
     monkeypatch, k, n, confidence
@@ -347,17 +349,36 @@ def test_clopper_pearson_bounds_never_cross_at_huge_n(k, n):
         assert _brackets(lambda p: _binom_tails(k, n, p)[1], ci.upper, 0.025)
 
 
+def _binom_pmf(n: int, p: np.ndarray) -> np.ndarray:
+    """P[Bin(n, p) = k] for k = 0..n (rows) at each p (columns), taken in log
+    space with math.lgamma, so the coverage test rests on no scipy function."""
+    k = np.arange(n + 1)
+    log_choose = np.array(
+        [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in k])
+    return np.exp(
+        log_choose[:, None] + np.outer(k, np.log(p)) + np.outer(n - k, np.log1p(-p)))
+
+
 def test_clopper_pearson_exact_coverage_is_at_least_nominal():
-    """Coverage computed exactly (pmf-weighted), not by simulation."""
-    for n, p in ((15, 0.3), (40, 0.1)):
-        pmf = scipy.stats.binom.pmf(np.arange(n + 1), n, p)
-        cover = sum(
-            pmf[k]
-            for k in range(n + 1)
-            if (lambda ci: ci.lower <= p <= ci.upper)(
-                ci_clopper_pearson(QberEstimate(k, n), 0.95))
-        )
-        assert cover >= 0.95
+    """Coverage computed exactly (pmf-weighted), not by simulation, for
+    Clopper-Pearson and the distribution-free Hoeffding interval, at every n
+    up to 100, 200 values of p in (0, 0.5] (0.1 and 0.3 among them) and
+    three levels. Coverage steps where p crosses a bound, and each bound is
+    only within BISECT_TOL of its root, so a p that close to one is left out."""
+    p = np.arange(1, 201) / 400
+    for n in range(1, 101):
+        pmf = _binom_pmf(n, p)
+        for confidence in (0.9, 0.95, 0.99):
+            for method in (CIMethod.CLOPPER_PEARSON, CIMethod.HOEFFDING):
+                cis = [confidence_interval(QberEstimate(k, n), confidence, method)
+                       for k in range(n + 1)]
+                lower = np.array([ci.lower for ci in cis])[:, None]
+                upper = np.array([ci.upper for ci in cis])[:, None]
+                cover = (pmf * ((lower <= p) & (p <= upper))).sum(axis=0)
+                clear = (np.abs(p - lower) > BISECT_TOL) & (np.abs(p - upper) > BISECT_TOL)
+                clear = clear.all(axis=0)
+                assert clear.sum() >= 190, (n, confidence, method)
+                assert (cover[clear] >= confidence).all(), (n, confidence, method)
 
 
 def test_wilson_exact_coverage_near_nominal():
