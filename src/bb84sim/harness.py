@@ -28,6 +28,9 @@ from .stats import TrialAggregate, aggregate_trials, check_trials, confidence_in
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64 Weyl increment
+# A histogram holds one edge per bin, at about 55 B an edge, so this many
+# bins take about 55 MB; a bin_width that asks for more is refused.
+MAX_HISTOGRAM_BINS = 10**6
 
 
 def _mix64(z: int) -> int:
@@ -215,6 +218,8 @@ def run_histogram(
     mean + 5 std], widened if needed so that every trial lands in some bin;
     they are half-open but for the last, as in numpy.histogram. When all
     trials agree (std = 0) one bin [mean, mean + bin_width) holds them all.
+    Raises ValueError, once the trials have run, when that is more than
+    MAX_HISTOGRAM_BINS bins.
     """
     from bisect import bisect_right
 
@@ -228,6 +233,9 @@ def run_histogram(
     lo = min(max(0.0, mean - 5.0 * std), min(values))
     hi = max(mean + 5.0 * std, max(values) + bin_width * 1e-9)
     n_bins = max(1, math.ceil((hi - lo) / bin_width))
+    if n_bins > MAX_HISTOGRAM_BINS:
+        raise ValueError(f"bin_width {bin_width} gives {n_bins} bins, more than "
+                         f"the {MAX_HISTOGRAM_BINS} allowed")
     edges = tuple(lo + bin_width * i for i in range(n_bins + 1))
     counts = [0] * n_bins
     for v in values:  # searching edges[:n_bins] closes the last bin

@@ -12,8 +12,9 @@ positions read back wrong for Bob.
 Sessions are pure functions of their config. `run_session` is vectorized over
 the whole qubit train with numpy and is the only implementation of the
 physics; tests check its ledger against the per-qubit rules. Every random
-block, 0/1 or event, is drawn a run at a time as raw PCG64 words, byte for
-byte the `rng.integers` and `rng.random` draws that define the stream. The
+block is drawn as raw PCG64 words, byte for byte the `rng.integers` and
+`rng.random` draws that define the stream: 0/1 blocks as runs of adjacent
+blocks, event blocks one at a time and read only at 0 < prob < 1. The
 physics works on those bytes as they are: a 0/1 value is bit 7 of its
 byte, an event block is a 0x00/0xFF mask, and the bits are tracked as
 errors, differences from Alice's bit. Only the ledger turns its columns
@@ -176,30 +177,21 @@ class SessionResult:
         return self.sifted_count - self.estimate.compared_n
 
 
-def _blocks(rng: np.random.Generator, n: int, read: tuple[bool, ...],
-            prob: float | None = None) -> list[np.ndarray | np.uint8]:
-    """A run of adjacent blocks of n draws, one per flag of `read`, from raw
-    PCG64 words, leaving the generator where the draws that define the
-    stream would: consecutive `rng.integers(0, 2, n, dtype=np.uint8)` 0/1
-    blocks, or with `prob` consecutive `rng.random(n) < prob` event blocks.
-    A 0/1 block comes back as the raw bytes the draw reads, its value in
-    bit 7, and an event block as a uint8 mask, 0xFF where the event fires
-    and 0x00 elsewhere. `run_session` reads a block only where a value it
-    returns reads it; an unread one is not generated and comes back as a
-    constant: 0, or with `prob`, which must then be 0 or 1, the mask 0x00
-    or 0xFF.
-
-    Precondition: PCG64 holds no buffered uint32 half-word. `run_session`
-    meets it, since every run before each call takes whole words.
+def _blocks(rng: np.random.Generator, n: int,
+            read: tuple[bool, ...]) -> list[np.ndarray | np.uint8]:
+    """A run of adjacent 0/1 blocks of n draws, one per flag of `read`, from
+    raw PCG64 words, leaving the generator where consecutive
+    `rng.integers(0, 2, n, dtype=np.uint8)` draws would. A read block is the
+    raw bytes the draw reads, its value in bit 7; an unread one is not
+    generated and is the constant 0. Precondition, met by `run_session`:
+    PCG64 holds no buffered uint32 half-word.
 
     numpy draws range-2 uint8 values by Lemire's method, which never rejects
     (256 is even) and returns the top bit of each byte, taking the bytes of
     ceil(n/4) uint32 draws low-first; uint32 draws are the halves of 64-bit
-    words, low half first. A double is (word >> 11) / 2**53, so it is below
-    prob exactly where word <= (ceil(prob * 2**53) << 11) - 1, and an event
-    takes one word. So from an empty buffer a run of k blocks of h uint32
-    halves each is ceil(k*h/2) raw words. Only those from the first read
-    block to the last are generated, and `advance`, which empties the
+    words, low half first. So from an empty buffer a run of k blocks of h
+    uint32 halves each is ceil(k*h/2) raw words. Only those from the first
+    read block to the last are generated, and `advance`, which empties the
     buffer, passes the rest. An odd k*h leaves the last word's high half
     buffered for the next draw, so then they run on to it and set it in
     `bitgen.state`, the one write of the state.
@@ -207,7 +199,7 @@ def _blocks(rng: np.random.Generator, n: int, read: tuple[bool, ...],
     import numpy as np
 
     bitgen = rng.bit_generator
-    h = (n + 3) // 4 if prob is None else 2 * n
+    h = (n + 3) // 4
     total = len(read) * h
     blocks = [i for i, r in enumerate(read) if r]
     start = blocks[0] * h if blocks else total
@@ -222,17 +214,27 @@ def _blocks(rng: np.random.Generator, n: int, read: tuple[bool, ...],
         state = bitgen.state
         state["has_uint32"], state["uinteger"] = 1, int(words[-1]) >> 32
         bitgen.state = state
-    if prob is None:
-        data = words.astype("<u8", copy=False).view(np.uint8)
-        return [data[4 * (i * h - 2 * lo):][:n] if r else np.uint8(0)
-                for i, r in enumerate(read)]
+    data = words.astype("<u8", copy=False).view(np.uint8)
+    return [data[4 * (i * h - 2 * lo):][:n] if r else np.uint8(0)
+            for i, r in enumerate(read)]
+
+
+def _events(rng: np.random.Generator, n: int, prob: float) -> np.ndarray | np.uint8:
+    """The event block `rng.random(n) < prob` as a uint8 mask, 0xFF where an
+    event fires and 0x00 elsewhere, leaving the generator where the draw
+    would, under the precondition of `_blocks`. A double is one raw PCG64
+    word, (word >> 11) / 2**53, so only 0 < prob < 1 is drawn; at 0 or 1
+    every event is known, `advance` passes the n words and the mask is the
+    constant 0x00 or 0xFF."""
+    import numpy as np
+
+    if not 0 < prob < 1:
+        rng.bit_generator.advance(n)
+        return np.uint8(0xFF if prob else 0)
     threshold = (math.ceil(prob * 2**53) << 11) - 1
-    masks = [(words[i * n - lo:][:n] <= threshold).view(np.uint8) if r
-             else np.uint8(0xFF if prob else 0) for i, r in enumerate(read)]
-    for mask in masks:
-        if mask.ndim:
-            np.subtract(0, mask, out=mask)  # 0 - 1 is 0xFF in uint8
-    return masks
+    mask = (rng.bit_generator.random_raw(n) <= threshold).view(np.uint8)
+    np.subtract(0, mask, out=mask)  # 0 - 1 is 0xFF in uint8
+    return mask
 
 
 def _skipped(x) -> bool:
@@ -339,20 +341,18 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     either way.
 
     Each 0/1 block means `rng.integers(0, 2, n, dtype=np.uint8)` and each
-    event block `rng.random(n) < prob`. The blocks come in five runs
-    (Alice's pair, Eve's events, Eve's pair, the channel's events, then the
-    channel bits with Bob's pair), and each run is drawn at once as raw
-    PCG64 words (see `_blocks`): the same values from the same words,
-    leaving the same generator state, so every output byte is the one
-    those draws would give. The session computes on the blocks' raw bytes
-    (see `_measure`): a position is sifted where bit 7 of alice_bases ^
-    bob_bases is 0, and errors_k counts bit 7 of Bob's error at the
-    sampled positions. Only the ledger converts its columns to 0/1, each
-    in place on a buffer the session already holds.
+    event block `rng.random(n) < prob`. Three 0/1 runs (Alice's pair, Eve's
+    pair, the channel bits with Bob's pair; see `_blocks`) and two event
+    blocks (Eve's, the channel's; see `_events`) are drawn as raw PCG64
+    words: the same values from the same words, leaving the same generator
+    state, so every output byte is the one those draws give. The session
+    computes on the blocks' raw bytes (see `_measure`): a position is sifted
+    where bit 7 of alice_bases ^ bob_bases is 0, and errors_k counts bit 7
+    of Bob's error at the sampled positions. Only the ledger converts its
+    columns to 0/1, each in place on a buffer the session already holds.
 
-    A block is generated only where a value the session returns reads it.
-    Eve's intercept events at f = 0 or 1 and the channel's at p = 0 or 1
-    are constants, and at p = 0 no event reads the channel's bits. With
+    A block is generated only where a value the session returns reads it:
+    an event block at 0 < prob < 1, the channel's bits at p > 0. With
     ledger=False the session returns only its counts, with records None,
     and they read fewer blocks. Never Eve's reads: one is random only where
     her basis is wrong, and then her resend meets Bob's basis wrong at
@@ -379,9 +379,9 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     p = config.channel.depolarizing_p
 
     alice_bits, alice_bases = _blocks(rng, n, (True, True))
-    resent, = _blocks(rng, n, (0 < f < 1,), f)
+    resent = _events(rng, n, f)
     eve_bases, eve_draws = _blocks(rng, n, (ledger or f > 0, ledger))
-    depolarized, = _blocks(rng, n, (0 < p < 1,), p)
+    depolarized = _events(rng, n, p)
     channel_draws, bob_bases, bob_draws = _blocks(
         rng, n, (p > 0, True, ledger or f > 0))
 

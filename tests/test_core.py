@@ -1,5 +1,11 @@
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import bb84sim
 from bb84sim.core import (
     CIMethod,
     ConfidenceInterval,
@@ -8,6 +14,8 @@ from bb84sim.core import (
     SecurityVerdict,
     check_increasing,
 )
+from bb84sim.harness import AggregateRow
+from bb84sim.protocol import ChannelModel, EveStrategy, SessionConfig
 
 
 def test_ci_method_names():
@@ -65,3 +73,35 @@ def test_security_verdict_consistency():
     assert SecurityVerdict(qber_used=0.2, threshold=0.11).decision is Decision.ABORT
     # exactly at the threshold counts as abort
     assert SecurityVerdict(qber_used=0.11, threshold=0.11).decision is Decision.ABORT
+
+
+def _package_dataclasses():
+    """Every dataclass defined in a bb84sim module (`__main__` aside, which
+    runs the CLI on import)."""
+    classes = set()
+    for info in pkgutil.iter_modules(bb84sim.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"bb84sim.{info.name}")
+            classes.update(
+                obj for obj in vars(module).values()
+                if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                and obj.__module__ == module.__name__)
+    return classes
+
+
+def test_every_dataclass_is_frozen_with_slots():
+    classes = _package_dataclasses()
+    assert len(classes) >= 16
+    for cls in classes:
+        assert cls.__dataclass_params__.frozen, cls.__name__
+        assert "__slots__" in vars(cls), cls.__name__
+
+
+@pytest.mark.parametrize("value, field", [
+    (QberEstimate(3, 100), "errors_k"),
+    (SessionConfig(100, EveStrategy(), ChannelModel()), "seed"),
+    (AggregateRow(0.5, 10, 0.125, 0.01, 0.12, 0.13, 0.125), "mean_qber"),
+], ids=["QberEstimate", "SessionConfig", "AggregateRow"])
+def test_built_values_cannot_be_assigned(value, field):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))

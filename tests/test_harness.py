@@ -218,6 +218,18 @@ def test_histogram_closes_its_last_bin(monkeypatch):
     assert hist.counts == tuple(counts.tolist()) == (1, 0, 58, 1)
 
 
+def test_histogram_bin_count_is_bounded():
+    """At f = 1, 4,000 qubits and 20 trials the bins span about 0.134:
+    bins of 1e-6 give 134,013 of them, and bins of 1e-7 would give
+    1,340,128, more than MAX_HISTOGRAM_BINS, so they are refused."""
+    def hist(bin_width):
+        return run_histogram(1.0, trials=20, n_qubits=4_000, bin_width=bin_width)
+
+    assert len(hist(1e-6).counts) == 134_013
+    with pytest.raises(ValueError, match="bin_width 1e-07 gives 1340128 bins"):
+        hist(1e-7)
+
+
 def test_histogram_std_scales_with_qubit_count():
     small = run_histogram(1.0, trials=50, n_qubits=5_000)
     large = run_histogram(1.0, trials=50, n_qubits=50_000)

@@ -22,6 +22,7 @@ from bb84sim.protocol import (
     EveStrategy,
     SessionConfig,
     _blocks,
+    _events,
     run_session,
 )
 
@@ -114,14 +115,12 @@ class CountingPCG64(np.random.PCG64):
         return super().random_raw(size, output)
 
 
-def words_generated(n, read, prob=None):
-    """The raw words `_blocks(rng, n, read, prob)` generates from an empty
-    buffer: from the first word of the first read block to the last word of
-    the last one, or to the run's last word when its uint32 draws are odd,
-    since that word's high half stays buffered. A 0/1 block is ceil(n/4)
-    uint32 draws and an event block n whole words, so an unread event block
-    generates none."""
-    h = (n + 3) // 4 if prob is None else 2 * n
+def words_generated(n, read):
+    """The raw words `_blocks(rng, n, read)` generates from an empty buffer:
+    from the first word of the first read block to the last word of the last
+    one, or to the run's last word when its k * ceil(n/4) uint32 draws are
+    odd, since that word's high half stays buffered."""
+    h = (n + 3) // 4
     spans = [(i * h // 2, ((i + 1) * h - 1) // 2) for i, r in enumerate(read) if r]
     if len(read) * h % 2:
         spans.append(((len(read) * h - 1) // 2,) * 2)
@@ -130,16 +129,17 @@ def words_generated(n, read, prob=None):
 
 READ_MASKS = [read for k in (1, 2, 3) for read in itertools.product((True, False), repeat=k)]
 
-# (prob, read) of each run: None for 0/1 blocks, else the event probability.
-# An event block is only left unread where every event is known, at 0 or 1.
-# 1e-300 fires only on a word below 2**11, and 1 - 2**-53 on every word but
-# the top 2**11.
-RUNS = [
-    *((None, read) for read in READ_MASKS),
-    *((prob, read) for prob in (0.0, 1.0) for read in READ_MASKS),
-    *((prob, read) for prob in (1e-300, 0.35, 1 - 2**-53)
-      for read in READ_MASKS if all(read)),
-]
+# An event block is read only at 0 < prob < 1. 1e-300 fires only on a word
+# below 2**11, and 1 - 2**-53 on every word but the top 2**11.
+EVENT_PROBS = (0.0, 1e-300, 0.35, 1 - 2**-53, 1.0)
+
+
+def _assert_left_as(rng, ref, n, case):
+    """rng and ref agree in state and uint32 buffer and in their next
+    `integers`, `random` and `choice` draws."""
+    assert _uint32_buffer(rng.bit_generator) == _uint32_buffer(ref.bit_generator), case
+    for draw in NEXT_DRAWS:
+        assert np.array_equal(draw(rng, n), draw(ref, n)), case
 
 
 # n = 1..40 covers every remainder mod 4 and mod 8 around a few words, and
@@ -147,42 +147,49 @@ RUNS = [
 @pytest.mark.parametrize("n", [*range(1, 41), 999, 1_000, 1_001, 49_999, 50_000, 50_001])
 @pytest.mark.parametrize("earlier", [0, 3], ids=["fresh", "after-odd-draw"])
 def test_random_bits_match_integers_draw(n, earlier):
-    """For every run of `RUNS`, each read block of `_blocks(rng, n, read,
-    prob)` is the matching one of k consecutive draws, each unread one is
-    the constant 0, or 0xFF for events at prob 1, and the generator is left
-    where those draws leave it: the same state and uint32 buffer, and the
-    same next `integers`, `random` and `choice` draws. A 0/1 block's bit 7
-    is the draw `rng.integers(0, 2, n, dtype=np.uint8)`, and an event block
-    is 0xFF exactly where `rng.random(n) < prob` and 0x00 elsewhere. The
-    helper generates only the words of `words_generated`, so an unread
-    block at a word boundary costs none.
+    """For every mask of `READ_MASKS`, each read block of `_blocks(rng, n,
+    read)` is the matching one of k consecutive draws
+    `rng.integers(0, 2, n, dtype=np.uint8)` in bit 7, and each unread one
+    the constant 0; for every prob of `EVENT_PROBS`, `_events(rng, n, prob)`
+    is 0xFF exactly where `rng.random(n) < prob` and 0x00 elsewhere, the
+    constant 0x00 or 0xFF at prob 0 or 1. Either leaves the generator where
+    those draws leave it: the same state and uint32 buffer, and the same
+    next `integers`, `random` and `choice` draws. `_blocks` generates only
+    the words of `words_generated`, so an unread block at a word boundary
+    costs none, and `_events` n words where it reads the block, else none.
 
-    `run_session` calls the helper on a fresh generator or after a run of
-    whole words, which leaves the buffer empty, as the helper requires;
+    `run_session` calls the helpers on a fresh generator or after whole
+    words, which leave the buffer empty, as the helpers require;
     `earlier` = 3 doubles stands for the latter."""
-    for prob, read in RUNS:
+    def generators():
         ref = np.random.default_rng(2024)
         rng = np.random.Generator(CountingPCG64(2024))
         for gen in (ref, rng):
             gen.random(earlier)
-        if prob is None:
-            expected = [ref.integers(0, 2, n, dtype=np.uint8) for _ in read]
-        else:
-            expected = [np.where(ref.random(n) < prob, 0xFF, 0).astype(np.uint8)
-                        for _ in read]
-        got = _blocks(rng, n, read, prob)
-        case = prob, read
+        return ref, rng
+
+    for read in READ_MASKS:
+        ref, rng = generators()
+        expected = [ref.integers(0, 2, n, dtype=np.uint8) for _ in read]
+        got = _blocks(rng, n, read)
         assert len(got) == len(read)
         for block, want, is_read in zip(got, expected, read):
             if is_read:
-                assert block.dtype == want.dtype and block.shape == want.shape, case
-                assert np.array_equal(block >> 7 if prob is None else block, want), case
+                assert block.dtype == want.dtype and block.shape == want.shape, read
+                assert np.array_equal(block >> 7, want), read
             else:
-                assert block.shape == () and block == (0xFF if prob else 0), case
-        assert rng.bit_generator.words == words_generated(n, read, prob), case
-        assert _uint32_buffer(rng.bit_generator) == _uint32_buffer(ref.bit_generator), case
-        for draw in NEXT_DRAWS:
-            assert np.array_equal(draw(rng, n), draw(ref, n)), case
+                assert block.shape == () and block == 0, read
+        assert rng.bit_generator.words == words_generated(n, read), read
+        _assert_left_as(rng, ref, n, read)
+    for prob in EVENT_PROBS:
+        ref, rng = generators()
+        want = np.where(ref.random(n) < prob, 0xFF, 0).astype(np.uint8)
+        got = _events(rng, n, prob)
+        assert got.dtype == want.dtype, prob
+        assert got.shape == ((n,) if 0 < prob < 1 else ()), prob
+        assert np.array_equal(np.broadcast_to(got, want.shape), want), prob
+        assert rng.bit_generator.words == (n if 0 < prob < 1 else 0), prob
+        _assert_left_as(rng, ref, n, prob)
 
 
 class FixedWordsPCG64(np.random.PCG64):
@@ -201,15 +208,18 @@ def test_event_fires_exactly_where_the_double_is_below_prob(prob):
     """numpy's double from a PCG64 word is (word >> 11) / 2**53, and an
     event block is 0xFF on a word exactly where that double is below prob
     and 0x00 elsewhere, checked on the words at either side of the
-    threshold, where random draws never land."""
+    threshold, where random draws never land. At prob 0 and 1 the block is
+    that answer as a constant."""
     raw = np.random.PCG64(7).random_raw(5)
     assert np.array_equal(np.random.default_rng(7).random(5), (raw >> 11) / 2**53)
     edge = math.ceil(prob * 2**53) << 11
     words = [w for w in (0, 1, 2**11 - 1, 2**11, edge - 2**11 - 1, edge - 2**11,
                          edge - 1, edge, edge + 2**11 - 1, edge + 2**11, 2**64 - 1)
              if 0 <= w < 2**64]
-    got, = _blocks(np.random.Generator(FixedWordsPCG64(words)), len(words), (True,), prob)
-    assert got.tolist() == [0xFF if (w >> 11) / 2**53 < prob else 0 for w in words]
+    got = _events(np.random.Generator(FixedWordsPCG64(words)), len(words), prob)
+    assert got.shape == ((len(words),) if 0 < prob < 1 else ())
+    assert np.broadcast_to(got, len(words)).tolist() == [
+        0xFF if (w >> 11) / 2**53 < prob else 0 for w in words]
 
 
 # At n = 50,000 a 0/1 block is 12,500 uint32 draws, 6,250 whole words, so
@@ -244,13 +254,14 @@ def test_session_generates_only_the_bit_words_its_counts_read(f, p, ledger, word
     assert [bitgen.words for bitgen in bitgens] == [words]
 
 
-# Each draw and the skip that stands for it: `_blocks` with no block read.
-# `random` is one `rng.random(n)` block, skipped as `run_session` skips the
-# channel's events at p = 0. `bytes` is a pair of 0/1 blocks, whose uint32
-# words two `rng.bytes(n)` draws take, skipped as Eve's pair at f = 0.
+# Each draw and the skip that stands for it. `random` is one `rng.random(n)`
+# block, skipped by `_events` as `run_session` skips the channel's events at
+# p = 0. `bytes` is a pair of 0/1 blocks, whose uint32 words two
+# `rng.bytes(n)` draws take, skipped by `_blocks` with neither read, as
+# Eve's pair at f = 0.
 DRAWS_AND_SKIPS = {
     "random": (lambda gen, n: gen.random(n),
-               lambda gen, n: _blocks(gen, n, (False,), 0.0)),
+               lambda gen, n: _events(gen, n, 0.0)),
     "bytes": (lambda gen, n: (gen.bytes(n), gen.bytes(n)),
               lambda gen, n: _blocks(gen, n, (False, False))),
 }

@@ -359,6 +359,15 @@ def _binom_pmf(n: int, p: np.ndarray) -> np.ndarray:
         log_choose[:, None] + np.outer(k, np.log(p)) + np.outer(n - k, np.log1p(-p)))
 
 
+def _bounds(n: int, confidence: float, method: CIMethod) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper bounds of the interval at each k = 0..n, as
+    columns that broadcast against `_binom_pmf(n, p)`."""
+    cis = [confidence_interval(QberEstimate(k, n), confidence, method)
+           for k in range(n + 1)]
+    return (np.array([ci.lower for ci in cis])[:, None],
+            np.array([ci.upper for ci in cis])[:, None])
+
+
 def test_clopper_pearson_exact_coverage_is_at_least_nominal():
     """Coverage computed exactly (pmf-weighted), not by simulation, for
     Clopper-Pearson and the distribution-free Hoeffding interval, at every n
@@ -370,15 +379,30 @@ def test_clopper_pearson_exact_coverage_is_at_least_nominal():
         pmf = _binom_pmf(n, p)
         for confidence in (0.9, 0.95, 0.99):
             for method in (CIMethod.CLOPPER_PEARSON, CIMethod.HOEFFDING):
-                cis = [confidence_interval(QberEstimate(k, n), confidence, method)
-                       for k in range(n + 1)]
-                lower = np.array([ci.lower for ci in cis])[:, None]
-                upper = np.array([ci.upper for ci in cis])[:, None]
+                lower, upper = _bounds(n, confidence, method)
                 cover = (pmf * ((lower <= p) & (p <= upper))).sum(axis=0)
                 clear = (np.abs(p - lower) > BISECT_TOL) & (np.abs(p - upper) > BISECT_TOL)
                 clear = clear.all(axis=0)
                 assert clear.sum() >= 190, (n, confidence, method)
                 assert (cover[clear] >= confidence).all(), (n, confidence, method)
+
+
+def test_wilson_and_wald_mean_exact_coverage():
+    """Exact coverage averaged over the p grid of the Clopper-Pearson test,
+    at every n from 30 to 100 and three levels: Wilson's lies within 0.015
+    of nominal, and Wald's below it, as Brown, Cai & DasGupta (2001) found.
+    Wilson reads 0.9008-0.9061, 0.9504-0.9527 and 0.9887-0.9898 here, and
+    Wald 0.8345-0.8774, 0.8775-0.9246 and 0.9162-0.9651."""
+    p = np.arange(1, 201) / 400
+    for n in range(30, 101):
+        pmf = _binom_pmf(n, p)
+        for confidence in (0.9, 0.95, 0.99):
+            mean = {}
+            for method in (CIMethod.WILSON, CIMethod.WALD):
+                lower, upper = _bounds(n, confidence, method)
+                mean[method] = (pmf * ((lower <= p) & (p <= upper))).sum(axis=0).mean()
+            assert abs(mean[CIMethod.WILSON] - confidence) < 0.015, (n, confidence)
+            assert mean[CIMethod.WALD] < confidence, (n, confidence)
 
 
 def test_wilson_exact_coverage_near_nominal():
