@@ -41,7 +41,7 @@ from typing import Callable, Optional, Sequence, get_type_hints
 
 from .core import CIMethod, QberEstimate, check_confidence, check_probability
 from .decision import DecisionPolicy, decide, key_rate, threshold_root
-from .harness import AggregateRow, SweepConfig, TrialRow, run_sweep
+from .harness import AggregateRow, SweepConfig, TrialRow, check_workers, run_sweep
 from .protocol import ChannelModel, EveStrategy, SessionConfig, run_session
 from .stats import confidence_interval
 
@@ -314,8 +314,7 @@ def _check_sessions(n_qubits: int, sessions: int) -> None:
 
 
 def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {args.workers}")
+    check_workers(args.workers)
     out_dir = os.path.dirname(args.out)
     if out_dir and not os.path.isdir(out_dir):
         raise ValueError(f"--out directory {out_dir!r} does not exist")
@@ -416,8 +415,7 @@ def cmd_ci(args: argparse.Namespace, est: QberEstimate) -> int:
 
 
 def _threshold_inputs(args: argparse.Namespace) -> float:
-    if not 0.0 <= args.qber <= 0.5:
-        raise ValueError(f"--qber must lie in [0, 0.5], got {args.qber}")
+    check_probability("--qber", args.qber)  # key_rate's own domain
     return args.qber
 
 

@@ -1,6 +1,6 @@
 """Shared domain types: interval methods, decisions, estimates, intervals and
-verdicts, the bound checks on the quantities they share, and the bisection
-that both the threshold and the exact interval solve with.
+verdicts, the bound checks on the quantities they share, and the bisection to
+adjacent floats that both the threshold and the exact interval solve with.
 
 Everything here is an immutable value type. Estimates and intervals validate
 themselves on construction, and a verdict derives its decision, so any value
@@ -60,21 +60,21 @@ def check_compared_n(compared_n: int) -> None:
         raise ValueError(f"compared_n must be positive, got {compared_n}")
 
 
+# The half-width of the bracket that checks a Clopper-Pearson bound (see stats).
 BISECT_TOL = 1e-9
 
 
 def bisect_root(root_above: Callable[[float], bool], hi: float = 1.0) -> float:
-    """The root of a monotone function on [0, hi] by bisection: halve the
-    bracket, keeping the upper half where root_above(midpoint), until it is
-    no wider than BISECT_TOL, and return its midpoint."""
+    """The least float in (0, hi] at which the monotone root_above is false
+    (taken as false at hi): halve [0, hi], keeping the upper half where
+    root_above(mid), until the ends are adjacent floats; return the upper end."""
     lo = 0.0
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if root_above(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return hi
 
 
 @dataclass(frozen=True, slots=True)

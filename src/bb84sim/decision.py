@@ -4,8 +4,8 @@ asymptotic secret-key-rate estimate.
 The key rate for BB84 under one-way post-processing is R = 1 - 2 H2(Q),
 where H2 is the binary entropy and Q the error rate (Shor-Preskill bound).
 R crosses zero at Q* ~ 0.11, which is where the famous "11 percent"
-abort threshold comes from; the threshold here is computed as that root
-rather than hard-coded, so decision and rate can never disagree.
+abort threshold comes from. The threshold is the least float at which
+`key_rate` is not positive, so decision and rate can never disagree.
 """
 
 from __future__ import annotations
@@ -62,12 +62,10 @@ def key_rate(qber: float) -> KeyRateReport:
 
 @functools.lru_cache(maxsize=1)
 def threshold_root() -> float:
-    """The error rate Q* at which 1 - 2 H2(Q*) = 0, by bisection on (0, 0.5).
-
-    The rate is strictly decreasing on [0, 0.5] from 1 to -1, so the root is
-    unique; bisection runs to an interval width of 1e-9. Q* ~ 0.1100.
-    """
-    return bisect_root(lambda q: 1.0 - 2.0 * binary_entropy(q) > 0.0, hi=0.5)
+    """The least float Q* ~ 0.1100 at which key_rate(Q*) is not secure, by
+    bisecting its sign on [0, 0.5] to adjacent floats; the rate is held at
+    -1 above 0.5, so q < Q* exactly when key_rate(q).secure, at every float."""
+    return bisect_root(lambda q: key_rate(q).secure, hi=0.5)
 
 
 def decide(

@@ -24,7 +24,7 @@ from .core import (
 from .protocol import (
     ChannelModel, EveStrategy, SessionConfig, check_session_params, run_session,
 )
-from .stats import TrialAggregate, aggregate_trials, check_trials, confidence_interval
+from .stats import TrialAggregate, aggregate_trials, check_trials, interval_function
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64 Weyl increment
@@ -157,6 +157,12 @@ def _run_point_trials(config: SweepConfig, f: float, index: int,
     return [job(t) for t in range(config.trials_per_f)]
 
 
+def check_workers(workers: int) -> None:
+    """Raise ValueError unless at least one worker runs the trials."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def _estimates(rows: Sequence[TrialRow]) -> list[QberEstimate]:
     return [QberEstimate(r.errors_k, r.compared_n) for r in rows]
 
@@ -166,6 +172,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
 
     Deterministic in the config; the worker count only affects wall time.
     """
+    check_workers(workers)
     trial_rows: list[TrialRow] = []
     points: list[AggregateRow] = []
     for index, f in enumerate(config.f_values):
@@ -272,6 +279,7 @@ def run_finite_size_study(
     what makes "shorter keys give wider intervals" directly visible.
     """
     check_increasing("n_values", n_values)
+    interval = interval_function(ci_method)
     configs = [
         SweepConfig((f,), trials, n_qubits, sample_fraction, channel, master_seed,
                     confidence)
@@ -280,9 +288,7 @@ def run_finite_size_study(
     out: list[FiniteSizePoint] = []
     for n_index, config in enumerate(configs):
         estimates = _estimates(_run_point_trials(config, f, n_index))
-        widths = [
-            confidence_interval(e, confidence, ci_method).width for e in estimates
-        ]
+        widths = [interval(e, confidence).width for e in estimates]
         out.append(
             FiniteSizePoint(
                 n_qubits=config.n_qubits,

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     BISECT_TOL, CIMethod, ConfidenceInterval, QberEstimate,
@@ -151,19 +151,18 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
     within 1e-9 of the root whatever scipy's quantile does. The check is one
     bracket test, which a NaN tail fails. Both evaluations are made whatever
     the first one finds, so a check costs two evaluations. Only a bound that
-    fails the check is found by bisection instead, to the same tolerance;
-    its predicate is built only then. The tails are `bdtrc` for the lower
+    fails the check is found by bisection instead, to adjacent floats; its
+    predicate is built only then. The tails are `bdtrc` for the lower
     bound and `bdtr` for the upper, both scipy's `betainc`, so the check and
     the bisection evaluate the same function as the quantile inverts. Each
     evaluation looks the tails up as this module's globals, so a wrapper set
     on `stats.bdtr` or `stats.bdtrc` sees every call.
 
-    Each bound is within BISECT_TOL of its root, so where both roots lie
-    below about 1e-9 the two bounds can cross. At k = 1000, n = 10^12 scipy's
-    betaincinv(1000, b, y) is 2^-26, and the bisected lower bound lies above
-    the upper; at n = 10^18 the upper bound rounds to 0. The lower root is
-    never above the upper, so the lower bound is clamped to the upper and
-    stays within BISECT_TOL of its root.
+    A bound that passes its check is only within BISECT_TOL of its root, so
+    where both roots lie below about 1e-9 the two bounds can cross: at
+    k = 5, n = 10^18 the upper bound 1 - betaincinv rounds to 0, below
+    p-hat = 5e-18. The lower root is never above the upper, so the lower
+    bound is clamped to the upper and stays within BISECT_TOL of its root.
     """
     check_confidence(confidence)
     half_alpha = (1.0 - confidence) / 2.0
@@ -212,16 +211,22 @@ _CI_FUNCTIONS = {
 }
 
 
+def interval_function(
+    method: CIMethod,
+) -> Callable[[QberEstimate, float], ConfidenceInterval]:
+    """The interval construction of a method. A method that is not a
+    CIMethod member raises ValueError."""
+    try:
+        return _CI_FUNCTIONS[method]
+    except (KeyError, TypeError):  # not a member, or not even hashable
+        raise ValueError(f"unknown interval method {method!r}") from None
+
+
 def confidence_interval(
     est: QberEstimate, confidence: float, method: CIMethod
 ) -> ConfidenceInterval:
-    """Dispatch to the requested interval construction. A method that is
-    not a CIMethod member raises ValueError."""
-    try:
-        construct = _CI_FUNCTIONS[method]
-    except (KeyError, TypeError):  # not a member, or not even hashable
-        raise ValueError(f"unknown interval method {method!r}") from None
-    return construct(est, confidence)
+    """Dispatch to the requested interval construction (see interval_function)."""
+    return interval_function(method)(est, confidence)
 
 
 def check_trials(trials: int) -> None:

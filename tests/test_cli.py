@@ -90,7 +90,8 @@ def test_usage_errors_exit_1(monkeypatch, tmp_path, capsys):
         ["ci", "--k", "5", "--n", "2"],
         ["ci", "--k", "1", "--n", "0"],
         ["ci", "--k", "1", "--n", "10", "--confidence", "1.0"],
-        ["threshold", "--qber", "0.7"],
+        ["sweep", "--workers", "0"],
+        ["threshold", "--qber", "1.5"],
         ["threshold"],
     ):
         code, _, err = run_cli(argv, monkeypatch, tmp_path, capsys)
@@ -217,6 +218,14 @@ def test_threshold_report_insecure(monkeypatch, tmp_path, capsys):
     assert "insecure" in out
 
 
+def test_threshold_above_one_half_is_insecure(monkeypatch, tmp_path, capsys):
+    # key_rate's domain is [0, 1]; above 0.5 the rate is held at -1
+    code, out, _ = run_cli(["threshold", "--qber", "0.7"], monkeypatch, tmp_path, capsys)
+    assert code == 0
+    assert "key rate       : -1.000000\n" in out
+    assert "status         : insecure\n" in out
+
+
 def test_threshold_near_root_rate_is_tiny(monkeypatch, tmp_path, capsys):
     _, out, _ = run_cli(["threshold", "--qber", "0.11"], monkeypatch, tmp_path, capsys)
     rate = float(re.search(r"key rate\s*:\s*(-?\d+\.\d+)", out).group(1))
@@ -270,7 +279,8 @@ def test_ci_report_large_sample(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("k, n", [("1000", "1000000000000"), ("5", "1000000000000000000")])
 def test_ci_report_at_a_huge_sample(k, n, monkeypatch, tmp_path, capsys):
-    # both exact bounds lie below BISECT_TOL here, where the two found can cross
+    # both exact bounds lie below BISECT_TOL here; at n = 10^18 the two found
+    # cross, and the lower is clamped to the upper
     code, out, _ = run_cli(["ci", "--k", k, "--n", n], monkeypatch, tmp_path, capsys)
     assert code == 0
     assert "clopper-pearson  [0.000000, 0.000000]" in out

@@ -12,6 +12,7 @@ from bb84sim.core import (
     Decision,
     QberEstimate,
     SecurityVerdict,
+    bisect_root,
     check_increasing,
 )
 from bb84sim.harness import AggregateRow
@@ -23,6 +24,20 @@ def test_ci_method_names():
     assert CIMethod("wilson") is CIMethod.WILSON
     assert CIMethod("clopper-pearson") is CIMethod.CLOPPER_PEARSON
     assert CIMethod("hoeffding") is CIMethod.HOEFFDING
+
+
+@pytest.mark.parametrize("root, hi", [
+    (0.1, 1.0), (1e-300, 1.0), (5e-324, 1.0), (0.5, 0.5), (0.3, 0.5),
+])
+def test_bisect_root_finds_the_float_boundary(root, hi):
+    seen = []
+
+    def below(p):
+        seen.append(p)
+        return p < root
+
+    assert bisect_root(below, hi) == root
+    assert all(0.0 < p < hi for p in seen)
 
 
 def test_qber_estimate_point():

@@ -90,6 +90,21 @@ def test_threshold_is_the_security_boundary():
     assert not key_rate(root + 1e-6).secure
 
 
+def test_threshold_and_key_rate_are_one_rule():
+    """q < threshold_root() exactly when key_rate(q) is secure, at every float
+    within 10^5 ulps of the threshold and on a 1/1000 grid of [0, 1]."""
+    root = threshold_root()
+    assert not key_rate(root).secure
+    qs = [i / 1000 for i in range(1001)]
+    for direction in (0.0, 1.0):
+        q = root
+        for _ in range(10**5):
+            q = math.nextafter(q, direction)
+            qs.append(q)
+    for q in qs:
+        assert (q < root) == key_rate(q).secure, q
+
+
 def test_threshold_root_is_cached_and_stable():
     assert threshold_root() == threshold_root()
 

@@ -253,6 +253,14 @@ def test_histogram_parameter_validation(monkeypatch):
             run_histogram(0.5, trials=10, master_seed=bad_seed)
 
 
+def test_sweep_checks_workers_before_a_session(monkeypatch):
+    monkeypatch.setattr(harness, "run_session", _no_session)
+    config = SweepConfig((0.0, 0.5), trials_per_f=2, n_qubits=200)
+    for bad_workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_sweep(config, workers=bad_workers)
+
+
 # ---------------------------------------------------------------------------
 # finite-size behaviour
 
@@ -286,6 +294,9 @@ def test_finite_size_input_validation(monkeypatch):
     for bad_seed in (-1, 2**64):
         with pytest.raises(ValueError, match="64 bits"):
             run_finite_size_study(0.25, [2_000, 8_000], trials=5, master_seed=bad_seed)
+    for bad_method in ("wald", None):
+        with pytest.raises(ValueError, match="unknown interval method"):
+            run_finite_size_study(0.25, [2_000, 8_000], trials=5, ci_method=bad_method)
 
 
 def test_finite_size_honours_interval_method():

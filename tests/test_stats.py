@@ -279,14 +279,23 @@ def test_clopper_pearson_bisects_a_bound_that_fails_its_check(
     calls = _count_tails(monkeypatch)
     _miss_the_quantile(monkeypatch)
     ci = ci_clopper_pearson(QberEstimate(k, n), confidence)
-    # the check's two evaluations, then 30 halvings: 2**-30 < 1e-9
-    assert calls == Counter(bdtrc=32 * (k > 0), bdtr=32 * (k < n))
     half_alpha = (1.0 - confidence) / 2.0
-    lower = 0.0 if k == 0 else bisect_root(
-        lambda p: scipy.special.betainc(k, n - k + 1, p) < half_alpha)
-    upper = 1.0 if k == n else bisect_root(
-        lambda p: scipy.special.betainc(n - k, k + 1, 1.0 - p) >= half_alpha)
+    halvings = Counter()
+
+    def lower_tail(p):
+        halvings["bdtrc"] += 1
+        return scipy.special.betainc(k, n - k + 1, p)
+
+    def upper_tail(p):
+        halvings["bdtr"] += 1
+        return scipy.special.betainc(n - k, k + 1, 1.0 - p)
+
+    lower = 0.0 if k == 0 else bisect_root(lambda p: lower_tail(p) < half_alpha)
+    upper = 1.0 if k == n else bisect_root(lambda p: upper_tail(p) >= half_alpha)
     assert (ci.lower, ci.upper) == (lower, upper)
+    # the check's two evaluations, then one per halving down to adjacent floats
+    assert calls == Counter(bdtrc=(2 + halvings["bdtrc"]) * (k > 0),
+                            bdtr=(2 + halvings["bdtr"]) * (k < n))
 
 
 def _brackets(tail, bound: float, half_alpha: float) -> bool:
@@ -338,15 +347,26 @@ def test_clopper_pearson_bounds_lie_within_the_tolerance_of_their_roots(
     (1000, 10**12), (999, 10**14), (5, 10**18), (1, 10**19),
 ])
 def test_clopper_pearson_bounds_never_cross_at_huge_n(k, n):
-    """Where both roots lie below BISECT_TOL the bounds found for them can
-    cross: scipy's betaincinv(1000, b, y) is 2^-26 for b near 10^12, and
-    1 - betaincinv rounds the upper bound to 0 at n = 10^18. Too large for
-    the roots test, whose bisection case puts the upper bound below 0 here."""
+    """A bound that passes its check is only within BISECT_TOL of its root,
+    so where both roots lie below BISECT_TOL the bounds can cross: at
+    n = 10^18, 1 - betaincinv rounds the upper bound to 0. Too large for the
+    roots test, whose bisection case puts the upper bound below 0 here."""
     ci = ci_clopper_pearson(QberEstimate(k, n), 0.95)
     assert 0.0 <= ci.lower <= ci.upper <= 1.0
     if n <= 10**14:  # past it the oracle sums a million terms or more
         assert _brackets(lambda p: _binom_tails(k, n, p)[0], ci.lower, 0.025)
         assert _brackets(lambda p: _binom_tails(k, n, p)[1], ci.upper, 0.025)
+
+
+def test_clopper_pearson_bisects_tiny_bounds_to_the_float():
+    """Both bounds fail their check and are bisected: scipy's beta quantile
+    puts each at 2^-26, where the roots are about 1e-11 and 1e-9. Bisected to
+    adjacent floats, each lands on its Poisson-limit root, a gamma quantile
+    over n."""
+    upper = ci_clopper_pearson(QberEstimate(999, 10**14), 0.95).upper
+    assert abs(upper - scipy.stats.gamma.isf(0.025, 1000) / 10**14) <= 1e-15
+    lower = ci_clopper_pearson(QberEstimate(1000, 10**12), 0.95).lower
+    assert abs(lower - scipy.stats.gamma.ppf(0.025, 1000) / 10**12) <= 1e-15
 
 
 def _binom_pmf(n: int, p: np.ndarray) -> np.ndarray:
