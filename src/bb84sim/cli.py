@@ -6,7 +6,7 @@ Subcommands:
   ci         all four binomial intervals for a given (k, n) side by side
   threshold  the security threshold and the key rate at a given QBER
 
-Exit statuses: 0 success, 1 usage error, 2 runtime/simulation error.
+Exit statuses: 0 success; 1 usage error or EmptySampleError; 2 I/O error or defect.
 
 Output formats (frozen; golden tests depend on the exact bytes): `sweep`
 writes the two row tuples of `harness.run_sweep` as they are. The columns of
@@ -42,7 +42,9 @@ from typing import Callable, Optional, Sequence, get_type_hints
 from .core import CIMethod, QberEstimate, check_confidence, check_probability
 from .decision import DecisionPolicy, decide, key_rate, threshold_root
 from .harness import AggregateRow, SweepConfig, TrialRow, check_workers, run_sweep
-from .protocol import ChannelModel, EveStrategy, SessionConfig, run_session
+from .protocol import (
+    ChannelModel, EmptySampleError, EveStrategy, SessionConfig, run_session,
+)
 from .stats import confidence_interval
 
 EXIT_OK = 0
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _f_grid(start: float, end: float, step: float,
             trials: int = 1) -> tuple[float, ...]:
-    """start, start + step, ... while the value does not pass end.
+    """start (-0.0 as 0.0), start + step, ... while the value does not pass end.
 
     The arithmetic is decimal on the flags' shortest float reprs, so 0.3 is
     0.3 with no floating-point crumbs and no value lands past end. Raises
@@ -278,7 +280,7 @@ def _f_grid(start: float, end: float, step: float,
     _check_memory(need, f"--f-step {step} gives {count} points; at --trials {trials} "
                         f"their per-trial rows need about {need} bytes "
                         f"({TRIAL_ROW_BYTES} B per row)")
-    return (start,) + tuple(float(first + i * delta) for i in range(1, count))
+    return (start + 0.0,) + tuple(float(first + i * delta) for i in range(1, count))
 
 
 def _physical_memory() -> Optional[int]:
@@ -310,7 +312,7 @@ def _check_sessions(n_qubits: int, sessions: int) -> None:
 
 # Each subcommand has an inputs function, which turns the parsed flags into
 # validated values and raises ValueError on a usage error, and a command
-# function, which runs on those values; main maps the two to exit 1 and 2.
+# function, which runs on those values; main maps their errors to exit 1 and 2.
 
 
 def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
@@ -320,7 +322,7 @@ def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
         raise ValueError(f"--out directory {out_dir!r} does not exist")
     # a sweep runs at most one point's trials at once
     _check_sessions(args.qubits, min(args.workers, args.trials))
-    config = SweepConfig(
+    return SweepConfig(
         f_values=_f_grid(args.f_start, args.f_end, args.f_step, args.trials),
         trials_per_f=args.trials,
         n_qubits=args.qubits,
@@ -329,7 +331,6 @@ def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
         master_seed=_resolve_seed(args.seed),
         confidence=args.confidence,
     )
-    return config
 
 
 def cmd_sweep(args: argparse.Namespace, config: SweepConfig) -> int:
@@ -444,7 +445,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args, inputs)
     except Exception as exc:
         print(f"bb84sim: error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_USAGE if isinstance(exc, EmptySampleError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

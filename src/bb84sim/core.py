@@ -64,11 +64,11 @@ def check_compared_n(compared_n: int) -> None:
 BISECT_TOL = 1e-9
 
 
-def bisect_root(root_above: Callable[[float], bool], hi: float = 1.0) -> float:
-    """The least float in (0, hi] at which the monotone root_above is false
-    (taken as false at hi): halve [0, hi], keeping the upper half where
+def bisect_root(root_above: Callable[[float], bool]) -> float:
+    """The least float in (0, 1] at which the monotone root_above is false
+    (taken as false at 1): halve [0, 1], keeping the upper half where
     root_above(mid), until the ends are adjacent floats; return the upper end."""
-    lo = 0.0
+    lo, hi = 0.0, 1.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         if root_above(mid):
             lo = mid

@@ -63,9 +63,9 @@ def key_rate(qber: float) -> KeyRateReport:
 @functools.lru_cache(maxsize=1)
 def threshold_root() -> float:
     """The least float Q* ~ 0.1100 at which key_rate(Q*) is not secure, by
-    bisecting its sign on [0, 0.5] to adjacent floats; the rate is held at
-    -1 above 0.5, so q < Q* exactly when key_rate(q).secure, at every float."""
-    return bisect_root(lambda q: key_rate(q).secure, hi=0.5)
+    bisecting its sign on its whole domain [0, 1] to adjacent floats; it is
+    -1 above 0.5, so at every float q < Q* exactly when key_rate(q).secure."""
+    return bisect_root(lambda q: key_rate(q).secure)
 
 
 def decide(

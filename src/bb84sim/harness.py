@@ -4,7 +4,8 @@ histograms, and finite-size studies.
 Every trial gets its own seed derived from (master_seed, point index, trial
 index) with a SplitMix64-style mixer, so trials are independent, reorderable,
 and parallelizable: results are keyed by their indices, never by completion
-order, and the output is identical for any worker count.
+order, and the output is identical for any worker count; so is a session's
+error, such as `EmptySampleError`, raised unchanged from the first failing trial.
 
 `ThreadPoolExecutor` is imported only when a point runs on more than one
 worker, so a 1-worker sweep never loads `concurrent.futures`. The module
@@ -133,10 +134,7 @@ def _run_point_trials(config: SweepConfig, f: float, index: int,
             sample_fraction=config.sample_fraction,
             seed=seed,
         )
-        try:
-            result = run_session(session, ledger=False)
-        except Exception as exc:
-            raise RuntimeError(f"trial failed at f={f}, trial={t}: {exc}") from exc
+        result = run_session(session, ledger=False)
         est = result.estimate
         return TrialRow(
             f=f,

@@ -44,10 +44,9 @@ if TYPE_CHECKING:
 
 
 class EmptySampleError(RuntimeError):
-    """Raised when a session cannot spare any sifted bits for comparison.
-
-    The caller should increase n_qubits (or the sample fraction).
-    """
+    """Raised when a session cannot spare any sifted bits for comparison, which
+    only its sifting tells. Every runner raises it unchanged, and the CLI exits
+    1; the caller should increase n_qubits (or the sample fraction)."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -367,8 +366,8 @@ def run_session(config: SessionConfig, ledger: bool = True) -> SessionResult:
     channel's are its flips where she did not disturb the qubit. The
     counts equal the ledger's.
 
-    Raises EmptySampleError when the sample would be empty; transmit more
-    qubits.
+    Raises EmptySampleError when the sifted key is too short to spare a bit
+    for the sample, which only the sifting shows; transmit more qubits.
     """
     import numpy as np
 

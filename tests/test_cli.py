@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import re
+import tempfile
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bb84sim import cli
 from bb84sim.cli import (
@@ -188,10 +193,111 @@ def test_tiny_f_step_is_rejected_before_the_grid_is_built(monkeypatch, tmp_path,
 
 
 def test_runtime_errors_exit_2(monkeypatch, tmp_path, capsys):
-    # one transmitted qubit can never spare a comparison sample
-    code, _, err = run_cli(["trial", "--qubits", "1"], monkeypatch, tmp_path, capsys)
+    def fail(*args, **kwargs):
+        raise RuntimeError("session failed")
+
+    monkeypatch.setattr(cli, "run_session", fail)
+    code, _, err = run_cli(["trial", "--qubits", "1000"], monkeypatch, tmp_path, capsys)
     assert code == 2
-    assert "increase n_qubits" in err
+    assert err == "bb84sim: error: session failed\n"
+
+
+def test_unsampleable_session_is_a_usage_error(monkeypatch, tmp_path, capsys):
+    # one transmitted qubit can never spare a comparison sample
+    code, out, err = run_cli(["trial", "--qubits", "1"], monkeypatch, tmp_path, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("bb84sim: error: no sifted bits to sample")
+    assert err.count("\n") == 1 and "increase n_qubits" in err
+
+
+def test_unsampleable_sweep_fails_alike_for_any_worker_count(monkeypatch, tmp_path, capsys):
+    errors = set()
+    for workers in ("1", "3"):
+        code, out, err = run_cli(
+            ["sweep", "--qubits", "5", "--trials", "4", "--f-step", "0.5",
+             "--workers", workers], monkeypatch, tmp_path, capsys)
+        assert code == 1, workers
+        assert out == "" and err.count("bb84sim: error:") == 1, workers
+        errors.add(err)
+    assert len(errors) == 1
+    assert not list(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# the exit-status contract: every invocation ends in a report (0) or one
+# usage error line (1), never in 2
+
+
+def _flag(name, strategy):
+    """`--name=value`; the `=` form keeps a value such as -0.0 from reading
+    as a flag."""
+    return strategy.map(lambda v: [f"--{name.replace('_', '-')}={v}"])
+
+
+def _maybe(name, strategy):
+    """The flag, or nothing, so that its default runs too."""
+    return st.one_of(st.just([]), _flag(name, strategy))
+
+
+def _argv(command, *flags):
+    return st.tuples(*flags).map(lambda parts: [command, *sum(parts, [])])
+
+
+_PROBABILITY = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+_CONFIDENCE = st.one_of(st.sampled_from([5e-324, 1 - 2**-53]),
+                        st.floats(5e-324, 1 - 2**-53))
+_COUNTS = st.integers(0, 10**19)
+# --qubits is always drawn, so no session runs at its default of 50,000
+_SESSION_FLAGS = (
+    _flag("qubits", st.integers(1, 2_000)),
+    _maybe("sample_fraction", st.one_of(st.floats(0.0, 1e-3), st.floats(0.999, 1.0))),
+    _maybe("seed", st.integers(-1, 2**64)),
+    _maybe("depolarizing_p", _PROBABILITY),
+    _maybe("confidence", _CONFIDENCE),
+)
+_ARGV = st.one_of(
+    # a step of at least 0.25 and at most 4 trials keep a sweep to 20 sessions
+    _argv("sweep", _maybe("f_start", _PROBABILITY), _maybe("f_end", _PROBABILITY),
+          _flag("f_step", st.floats(0.25, 2.0)), _flag("trials", st.integers(2, 4)),
+          _maybe("workers", st.integers(1, 8)),
+          _maybe("format", st.sampled_from(["csv", "json"])), *_SESSION_FLAGS),
+    _argv("trial", _maybe("eve_fraction", _PROBABILITY),
+          _maybe("ci", st.sampled_from(cli._CI_CHOICES)),
+          _maybe("policy", st.sampled_from(cli._POLICY_CHOICES)), *_SESSION_FLAGS),
+    _argv("ci", _flag("k", _COUNTS), _flag("n", _COUNTS), _maybe("confidence", _CONFIDENCE)),
+    _argv("threshold", _flag("qber", _PROBABILITY)),
+)
+_SEED_ENV = st.one_of(st.none(), st.integers(0, 2**64 - 1).map(str),
+                      st.sampled_from(["", "x", "1.5", "-1", str(2**64)]))
+
+
+@settings(deadline=None)
+@given(argv=_ARGV, seed_env=_SEED_ENV)
+@example(argv=["trial", "--qubits=1"], seed_env=None)
+@example(argv=["trial", "--qubits=2", "--seed=5"], seed_env=None)
+@example(argv=["trial", "--qubits=3", "--sample-fraction=0.1"], seed_env=None)
+@example(argv=["sweep", "--qubits=4", "--trials=2", "--f-step=0.5"], seed_env=None)
+def test_every_invocation_ends_in_a_report_or_a_usage_error(argv, seed_env):
+    out, err = io.StringIO(), io.StringIO()
+    with (tempfile.TemporaryDirectory() as out_dir, mock.patch.dict(os.environ),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        os.environ.pop(cli.SEED_ENV_VAR, None)
+        if seed_env is not None:
+            os.environ[cli.SEED_ENV_VAR] = seed_env
+        if argv[0] == "sweep":
+            argv = [*argv, f"--out={os.path.join(out_dir, 's')}"]
+        code = main(argv)
+        written = sorted(os.listdir(out_dir))
+    errors = [line for line in err.getvalue().splitlines()
+              if line.startswith("bb84sim: error:")]
+    assert code in (0, 1), (argv, err.getvalue())
+    assert len(errors) == (code == 1), (argv, err.getvalue())
+    if argv[0] == "sweep" and code == 0:
+        ext = "json" if "--format=json" in argv else "csv"
+        assert written == [f"s_aggregate.{ext}", f"s_trials.{ext}"]
+    else:
+        assert written == []
 
 
 def test_success_exits_0(monkeypatch, tmp_path, capsys):
@@ -485,6 +591,17 @@ def test_sweep_json_matches_csv_numerically(monkeypatch, tmp_path, capsys):
                 # round(x, 6) == float(f"{x:.6f}"), so the formats agree exactly
                 assert type(jrow[name]) is kind
                 assert jrow[name] == getattr(crow, name)
+
+
+def test_sweep_from_negative_zero_writes_zero(monkeypatch, tmp_path, capsys):
+    code, _, _ = run_cli(["sweep", "--f-start", "-0.0", "--f-step", "0.5",
+                          "--trials", "2", "--qubits", "200", "--out", "z"],
+                         monkeypatch, tmp_path, capsys)
+    assert code == 0
+    for name in ("z_trials.csv", "z_aggregate.csv"):
+        first_row = (tmp_path / name).read_text().splitlines()[1]
+        assert first_row.startswith("0.000000,"), name
+        assert "-0.000000" not in first_row, name
 
 
 def test_sweep_f_step_produces_expected_rows(monkeypatch, tmp_path, capsys):

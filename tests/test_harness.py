@@ -15,7 +15,7 @@ from bb84sim.harness import (
     run_histogram,
     run_sweep,
 )
-from bb84sim.protocol import ChannelModel
+from bb84sim.protocol import ChannelModel, EmptySampleError
 from bb84sim.stats import aggregate_trials, hoeffding_half_width
 
 
@@ -137,10 +137,14 @@ def test_sweep_means_track_f_over_4():
         assert abs(point.mean_qber - point.theory) <= max(bound, 1e-12)
 
 
-def test_sweep_wraps_session_errors_with_context():
-    config = SweepConfig(f_values=(0.0, 1.0), trials_per_f=2, n_qubits=1)
-    with pytest.raises(RuntimeError, match=r"f=0.0, trial=0"):
-        run_sweep(config)
+@pytest.mark.parametrize("run", [
+    lambda: run_sweep(SweepConfig(f_values=(0.0, 1.0), trials_per_f=2, n_qubits=1)),
+    lambda: run_histogram(0.0, trials=2, n_qubits=1),
+    lambda: run_finite_size_study(0.0, [1], trials=2),
+], ids=["sweep", "histogram", "finite-size"])
+def test_runners_raise_the_sessions_empty_sample_error(run):
+    with pytest.raises(EmptySampleError, match="increase n_qubits"):
+        run()
 
 
 # ---------------------------------------------------------------------------
