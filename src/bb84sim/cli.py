@@ -7,7 +7,7 @@ Subcommands:
   threshold  the security threshold and the key rate at a given QBER
 
 Exit statuses: 0 success; 1 usage error or EmptySampleError; 2 a defect, or
-a write that fails although the --out directory took a probe file.
+a write that fails although --out passed its checks before the run.
 
 Output formats (frozen; golden tests depend on the exact bytes): `sweep`
 writes the two row tuples of `harness.run_sweep` as they are. The columns of
@@ -20,13 +20,13 @@ identical numbers.
 The default master seed is 42; the BB84SIM_SEED environment variable
 overrides it, and an explicit --seed flag overrides both.
 
-`csv` is imported by `parse_csv` and `json` by `format_json`, so a CSV
-sweep loads neither, nor does `threshold` or `trial` with a `--ci` other
-than clopper-pearson (scipy imports both). numpy, scipy and
-the thread pool are imported where the package runs them (see protocol,
-harness and stats). The bb84sim modules themselves are imported here at the
-top: they load with the package anyway, and handlers look up `run_session`
-and `run_sweep` as module globals.
+`csv` is imported by `parse_csv`, `json` by `format_json` and `tempfile` by
+`_sweep_inputs`. So a CSV sweep loads neither `csv` nor `json`, and neither
+does `threshold` or `trial` with a `--ci` other than clopper-pearson (scipy
+imports both). numpy, scipy and the thread pool are imported where the
+package runs them (see protocol, harness and stats). The bb84sim modules are
+imported here: they load with the package anyway, and handlers look up
+`run_session` and `run_sweep` as module globals.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from dataclasses import fields
 from functools import cache, partial
 from operator import attrgetter
@@ -42,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, get_type_hi
 
 from .core import CIMethod, QberEstimate, check_confidence, check_probability
 from .decision import DecisionPolicy, decide, key_rate, threshold_root
-from .harness import AggregateRow, SweepConfig, TrialRow, check_workers, run_sweep
+from .harness import AggregateRow, SweepConfig, TrialRow, run_sweep, sessions_at_once
 from .protocol import (
     ChannelModel, EmptySampleError, EveStrategy, SessionConfig, run_session,
 )
@@ -143,11 +142,8 @@ def format_json(schema: str, row_type: type, rows: Sequence) -> str:
 
     names = [name for name, _ in columns(row_type)]
     cells = _cell_function(row_type, _JSON_FLOAT)
-    payload = {
-        "schema": schema,
-        "columns": names,
-        "rows": [dict(zip(names, cells(r))) for r in rows],
-    }
+    payload = {"schema": schema, "columns": names,
+               "rows": [dict(zip(names, cells(r))) for r in rows]}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -167,17 +163,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _resolve_seed(flag_value: Optional[int]) -> int:
     """Explicit --seed wins; else the environment variable; else 42."""
     if flag_value is not None:
         return flag_value
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 42
+    raw = os.environ.get(SEED_ENV_VAR, "42")
     try:
         return int(raw)
     except ValueError:
@@ -309,14 +302,21 @@ def _check_sessions(n_qubits: int, sessions: int) -> None:
 # function, which runs on those values; main maps their errors to exit 1 and 2.
 
 
+def _sweep_paths(args: argparse.Namespace) -> list[str]:
+    return [f"{args.out}_{name}.{args.format}" for name in ("trials", "aggregate")]
+
+
 def _sweep_inputs(args: argparse.Namespace) -> SweepConfig:
-    check_workers(args.workers)
+    import tempfile  # only a sweep writes files
+
+    _check_sessions(args.qubits, sessions_at_once(args.workers, args.trials))
     try:  # before any session runs: a file made in --out's directory, closed and gone
         tempfile.TemporaryFile(dir=os.path.dirname(args.out) or ".").close()
     except OSError as exc:
         raise ValueError(f"cannot write to --out {args.out!r}: {exc.strerror}") from None
-    # a sweep runs at most one point's trials at once
-    _check_sessions(args.qubits, min(args.workers, args.trials))
+    for path in _sweep_paths(args):
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write to {path!r}: it is a directory")
     return SweepConfig(
         f_values=_f_grid(args.f_start, args.f_end, args.f_step, args.trials),
         trials_per_f=args.trials,
@@ -332,7 +332,7 @@ def cmd_sweep(args: argparse.Namespace, config: SweepConfig) -> int:
     result = run_sweep(config, workers=args.workers)
     formats = ((format_trials_csv, format_aggregate_csv) if args.format == "csv"
                else (format_trials_json, format_aggregate_json))
-    paths = [f"{args.out}_{name}.{args.format}" for name in ("trials", "aggregate")]
+    paths = _sweep_paths(args)
     for path, format_rows, rows in zip(
             paths, formats, (result.per_trial_rows, result.per_point)):
         with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -7,10 +7,10 @@ and parallelizable: results are keyed by their indices, never by completion
 order, and the output is identical for any worker count; so is a session's
 error, such as `EmptySampleError`, raised unchanged from the first failing trial.
 
-`ThreadPoolExecutor` is imported only when a point runs on more than one
-worker, so a 1-worker sweep never loads `concurrent.futures`; a pool has at
-most one thread per CPU. The module itself still loads with the package, as
-every bb84sim module does (see protocol).
+`sessions_at_once`, which the CLI's memory guard also reads, sizes the pool,
+and `ThreadPoolExecutor` is imported only when it exceeds one, so a 1-worker
+sweep or a 1-CPU host never loads `concurrent.futures`. The module itself
+still loads with the package, as every bb84sim module does (see protocol).
 """
 
 from __future__ import annotations
@@ -121,8 +121,16 @@ class SweepResult:
     per_trial_rows: tuple[TrialRow, ...]
 
 
+def sessions_at_once(workers: int, trials: int) -> int:
+    """How many of a point's trials run at once for `workers`, at most one
+    per CPU: a pool starts a thread per trial while none is idle."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return min(workers, os.cpu_count() or 1, trials)
+
+
 def _run_point_trials(config: SweepConfig, f: float, index: int,
-                      workers: int = 1) -> list[TrialRow]:
+                      sessions: int = 1) -> list[TrialRow]:
     """The config's trials at fraction f, seeded from (master seed, index)."""
     eve = EveStrategy.intercept_resend(f)
 
@@ -148,20 +156,12 @@ def _run_point_trials(config: SweepConfig, f: float, index: int,
             qber=est.point_estimate,
         )
 
-    if workers > 1:
+    if sessions > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        # map submits every trial at once, and the pool starts a thread for
-        # each while none is idle, so cap the threads at one per CPU
-        with ThreadPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
+        with ThreadPoolExecutor(max_workers=sessions) as pool:
             return list(pool.map(job, range(config.trials_per_f)))
     return [job(t) for t in range(config.trials_per_f)]
-
-
-def check_workers(workers: int) -> None:
-    """Raise ValueError unless at least one worker runs the trials."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def _estimates(rows: Sequence[TrialRow]) -> list[QberEstimate]:
@@ -173,11 +173,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
 
     Deterministic in the config; the worker count only affects wall time.
     """
-    check_workers(workers)
+    sessions = sessions_at_once(workers, config.trials_per_f)
     trial_rows: list[TrialRow] = []
     points: list[AggregateRow] = []
     for index, f in enumerate(config.f_values):
-        rows = _run_point_trials(config, f, index, workers)
+        rows = _run_point_trials(config, f, index, sessions)
         trial_rows.extend(rows)
         agg = aggregate_trials(_estimates(rows), config.confidence)
         points.append(AggregateRow(

@@ -22,7 +22,7 @@ from bb84sim.cli import (
     main,
     parse_csv,
 )
-from bb84sim.harness import SweepConfig, TrialRow, run_sweep
+from bb84sim.harness import SweepConfig, SweepResult, TrialRow, run_sweep
 from bb84sim.protocol import ChannelModel, EveStrategy, SessionConfig, run_session
 from test_stats import _cp_oracle
 
@@ -135,15 +135,20 @@ def _no_session(*args, **kwargs):
     raise AssertionError("a session ran")
 
 
-@pytest.mark.parametrize("argv, need", [
-    (["trial", "--qubits", "1000"], 1000 * cli.SESSION_BYTES_PER_QUBIT),
-    (["sweep", "--qubits", "1000", "--workers", "3"], 3 * 1000 * cli.SESSION_BYTES_PER_QUBIT),
+@pytest.mark.parametrize("argv, cpus, need", [
+    (["trial", "--qubits", "1000"], 8, 1000 * cli.SESSION_BYTES_PER_QUBIT),
+    (["sweep", "--qubits", "1000", "--workers", "3"], 3,
+     3 * 1000 * cli.SESSION_BYTES_PER_QUBIT),
     # no more sessions run at once than a point has trials
     (["sweep", "--f-step", "0.5", "--trials", "2", "--qubits", "1000", "--workers", "100000"],
+     8, 2 * 1000 * cli.SESSION_BYTES_PER_QUBIT),
+    # nor than the host has CPUs
+    (["sweep", "--qubits", "1000", "--workers", "4"], 2,
      2 * 1000 * cli.SESSION_BYTES_PER_QUBIT),
-], ids=["trial", "sweep-3-workers", "sweep-2-trials"])
+], ids=["trial", "sweep-3-workers", "sweep-2-trials", "sweep-4-workers-2-cpus"])
 def test_session_too_large_for_the_host_is_a_usage_error(
-        argv, need, monkeypatch, tmp_path, capsys):
+        argv, cpus, need, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(cli, "_physical_memory", lambda: 20_000)
     monkeypatch.setattr(cli, "run_session", _no_session)
     monkeypatch.setattr(cli, "run_sweep", _no_session)
@@ -153,6 +158,26 @@ def test_session_too_large_for_the_host_is_a_usage_error(
     assert f"needs about {need} bytes" in err and "20000 bytes" in err
     assert f"{need // (1000 * cli.SESSION_BYTES_PER_QUBIT)} session(s) at once" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_memory_guard_charges_only_the_sessions_that_run_at_once(
+        monkeypatch, tmp_path, capsys):
+    """4 workers on 2 CPUs run 2 sessions at once, so a memory that fits
+    2 sessions of 1000 qubits (46,000 B) but not 4 lets the sweep run."""
+    calls = []
+
+    def stand_in_sweep(config, workers):
+        calls.append(workers)
+        return SweepResult((), ())
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 50_000)
+    monkeypatch.setattr(cli, "run_sweep", stand_in_sweep)
+    code, _, err = run_cli(
+        ["sweep", "--qubits", "1000", "--trials", "4", "--workers", "4", "--f-step", "1"],
+        monkeypatch, tmp_path, capsys)
+    assert code == 0, err
+    assert calls == [4]
 
 
 def test_memory_check_reads_this_hosts_memory(monkeypatch, tmp_path, capsys):
@@ -226,6 +251,31 @@ def test_unwritable_out_is_refused_before_any_session(monkeypatch, tmp_path, cap
     assert err.count("\n") == 1
     assert not list(tmp_path.iterdir())
     assert not os.path.exists("/proc/x_trials.csv")
+
+
+def test_output_path_that_is_a_directory_is_refused_before_any_session(
+        monkeypatch, tmp_path, capsys):
+    # open() would fail on it only after the whole run, with the trials
+    # file already written
+    (tmp_path / "s_aggregate.csv").mkdir()
+    monkeypatch.setattr(cli, "run_sweep", _no_session)
+    code, out, err = run_cli(
+        ["sweep", "--qubits", "200", "--trials", "2", "--f-step", "0.5", "--out", "s"],
+        monkeypatch, tmp_path, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "bb84sim: error: cannot write to 's_aggregate.csv': it is a directory\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["s_aggregate.csv"]
+
+
+def test_zero_workers_is_refused_before_any_session(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_session", _no_session)
+    monkeypatch.setattr(cli, "run_sweep", _no_session)
+    code, out, err = run_cli(["sweep", "--workers", "0"], monkeypatch, tmp_path, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "bb84sim: error: workers must be at least 1, got 0\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_count_no_float_can_hold_is_a_usage_error(monkeypatch, tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Heavy imports wait for the code that uses them. numpy is imported by the
-functions that draw or bin, the thread pool only for more than one worker,
-`json` and `csv` only by the formats that write them, scipy only when a
-Clopper-Pearson interval or a binomial tail is computed and `statistics`
-only when a normal quantile is. None of them loads with the package or for
-the security threshold, yet every bb84sim module still does.
+functions that draw or bin, the thread pool only when more than one session
+runs at once, `json` only by the JSON format, `csv` only to parse a CSV file,
+`tempfile` only by a sweep, scipy only when a Clopper-Pearson interval or a
+binomial tail is computed and `statistics` only when a normal quantile is.
+None of them loads with the package or for the security threshold, yet every
+bb84sim module still does.
 
 Each check runs in a fresh interpreter, because this test session has
 already imported numpy and scipy (test_stats.py takes its reference values
@@ -48,13 +49,17 @@ SWEEP_ARGV = ["sweep", "--f-step", "0.5", "--trials", "3", "--qubits", "400",
               "--format", "json", "--out", "s"]
 
 
-def _run(code, cwd):
+# Put before a snippet, this gives its interpreter that many CPUs.
+CPUS = "import os\nos.cpu_count = lambda: {}\n"
+
+
+def _run(code, cwd, *options):
     """(stdout up to the line of loaded modules, the set of them) of
-    `python -c code` with bb84sim importable."""
+    `python *options -c code` with bb84sim importable."""
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("BB84SIM_SEED", None)
     proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True,
+        [sys.executable, *options, "-c", code], cwd=cwd, env=env, capture_output=True,
         text=True, timeout=120, check=True,
     )
     *printed, last = proc.stdout.splitlines(keepends=True)
@@ -94,6 +99,22 @@ def test_commands_without_clopper_pearson_leave_scipy_unloaded(argv, unloaded, t
     assert not unloaded & loaded
 
 
+def test_threshold_leaves_tempfile_unloaded(tmp_path):
+    # -S, as a site hook may load tempfile before any bb84sim code runs
+    code = CLI_SNIPPET.format(argv=["threshold", "--qber", "0.05"]).replace(
+        LOADED, "print('tempfile' in sys.modules)")
+    printed, loaded = _run(code, tmp_path, "-S")
+    assert printed.splitlines()[-1] == "0"
+    assert loaded == {"False"}
+
+
+def test_many_workers_on_one_cpu_leave_the_thread_pool_unloaded(tmp_path):
+    argv = SWEEP_ARGV + ["--workers", "4"]
+    printed, loaded = _run(CPUS.format(1) + CLI_SNIPPET.format(argv=argv), tmp_path)
+    assert printed.splitlines()[-1] == "0"
+    assert "numpy" in loaded and "concurrent.futures" not in loaded
+
+
 def test_ci_loads_scipy_and_prints_the_same_bytes(tmp_path):
     argv = ["ci", "--k", "3", "--n", "100"]
     printed, loaded = _run(CLI_SNIPPET.format(argv=argv), tmp_path)
@@ -126,8 +147,8 @@ def test_two_worker_sweep_writes_the_bytes_of_one_worker(tmp_path, monkeypatch, 
     pooled, one = tmp_path / "pooled", tmp_path / "one"
     pooled.mkdir()
     one.mkdir()
-    printed, loaded = _run(CLI_SNIPPET.format(argv=SWEEP_ARGV + ["--workers", "2"]),
-                           pooled)
+    printed, loaded = _run(
+        CPUS.format(2) + CLI_SNIPPET.format(argv=SWEEP_ARGV + ["--workers", "2"]), pooled)
     assert {"concurrent.futures", "numpy", "json"} <= loaded
 
     monkeypatch.chdir(one)
