@@ -23,10 +23,11 @@ overrides it, and an explicit --seed flag overrides both.
 `csv` is imported by `parse_csv`, `json` by `format_json` and `tempfile` by
 `_sweep_inputs`. So a CSV sweep loads neither `csv` nor `json`, and neither
 does `threshold` or `trial` with a `--ci` other than clopper-pearson (scipy
-imports both). numpy, scipy and the thread pool are imported where the
-package runs them (see protocol, harness and stats). The bb84sim modules are
-imported here: they load with the package anyway, and handlers look up
-`run_session` and `run_sweep` as module globals.
+imports both, and `dataclasses`, which no command loads otherwise). numpy,
+scipy and the thread pool are imported where the package runs them (see
+protocol, harness and stats). The bb84sim modules are imported here: they
+load with the package anyway, and handlers look up `run_session` and
+`run_sweep` as module globals.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from functools import cache, partial
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, get_type_hints
@@ -79,17 +79,17 @@ def _fmt(x: float) -> str:
 # serialization
 
 
-# Each output file is described by its row dataclass: the fields, in order,
-# are the columns. A float column is written through a float format (6-decimal
-# text in CSV, rounded to 6 decimals in JSON); an int column as it is.
+# Each output file is described by its row type: its fields (`__slots__`), in
+# order, are the columns. A float column is written through a float format
+# (6-decimal text in CSV, rounded to 6 decimals in JSON); an int column as is.
 _JSON_FLOAT = partial(round, ndigits=6)
 
 
 @cache
 def columns(row_type: type) -> tuple[tuple[str, type], ...]:
-    """(name, type) of each column of a row dataclass, in file order."""
+    """(name, type) of each column of a row type, in file order."""
     hints = get_type_hints(row_type)
-    return tuple((field.name, hints[field.name]) for field in fields(row_type))
+    return tuple((name, hints[name]) for name in row_type.__slots__)
 
 
 @cache

@@ -4,13 +4,12 @@ adjacent floats that both the threshold and the exact interval solve with.
 
 Everything here is an immutable value type. Estimates and intervals validate
 themselves on construction, and a verdict derives its decision, so any value
-that exists is internally consistent.
+that exists is internally consistent. `Value` is the base of every value type.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 
@@ -82,8 +81,79 @@ def bisect_root(root_above: Callable[[float], bool]) -> float:
     return hi
 
 
-@dataclass(frozen=True, slots=True)
-class QberEstimate:
+class _ValueType(type):
+    """Makes a class body's annotated fields its `__slots__`, `__match_args__`
+    and `__init__` parameters, in order, with the body's defaults. `__init__`
+    looks `__post_init__` up at each call, so a wrapper set on the class runs."""
+
+    def __new__(mcls, name, bases, namespace):
+        names = tuple(namespace.get("__annotations__", ()))
+        defaults = {n: namespace.pop(n) for n in names if n in namespace}
+        namespace.update(__slots__=names, __match_args__=names)
+        if bases:  # Value itself has no fields and is no dataclass
+            params = "".join(f", {n}={n}" if n in defaults else f", {n}" for n in names)
+            body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+            post = "\n    self.__post_init__()" if "__post_init__" in namespace else ""
+            exec(f"def __init__(self{params}):{body}{post}",
+                 dict(defaults, _set=object.__setattr__), namespace)
+            namespace.update(__dataclass_fields__=_DataclassView(),
+                             __dataclass_params__=_DataclassView())
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class _DataclassView:
+    """`__dataclass_fields__` or `__dataclass_params__`, made for a value type
+    with the other by `dataclasses.make_dataclass` on first read, then kept."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, value, cls):
+        from dataclasses import MISSING, field, make_dataclass
+        defaults = cls.__init__.__defaults__ or ()
+        default = dict(zip(reversed(cls.__slots__), reversed(defaults)))
+        view = make_dataclass(cls.__name__, [
+            (n, cls.__annotations__[n], field(default=default.get(n, MISSING)))
+            for n in cls.__slots__], eq=cls.__eq__ is not object.__eq__, frozen=True)
+        cls.__dataclass_fields__ = view.__dataclass_fields__
+        cls.__dataclass_params__ = view.__dataclass_params__
+        return getattr(cls, self.name)
+
+
+class Value(metaclass=_ValueType):
+    """Base of the value types, written and behaving as frozen slots
+    dataclasses but built without `dataclasses` (with `inspect`, a quarter of
+    `import bb84sim`). A value is its type and fields, as `__reduce__` gives
+    them, for equality, hashing and pickling."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        cells = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({cells})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
+
+    def __replace__(self, /, **changes):  # copy.replace, from Python 3.13
+        return type(self)(**{n: getattr(self, n) for n in self.__slots__} | changes)
+
+
+class QberEstimate(Value):
     """Error count over a compared sample: k mismatches out of n comparisons."""
 
     errors_k: int
@@ -103,8 +173,7 @@ class QberEstimate:
         return self.errors_k / self.compared_n
 
 
-@dataclass(frozen=True, slots=True)
-class ConfidenceInterval:
+class ConfidenceInterval(Value):
     """A [lower, upper] interval for an error rate. The function that builds
     one checks its confidence level; the interval keeps only the bounds."""
 
@@ -122,8 +191,7 @@ class ConfidenceInterval:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True, slots=True)
-class SecurityVerdict:
+class SecurityVerdict(Value):
     """The error rate compared against the abort threshold, and the decision
     that comparison gives."""
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 from .core import (
-    ConfidenceInterval, QberEstimate, SecurityVerdict, bisect_root, check_probability,
+    ConfidenceInterval, QberEstimate, SecurityVerdict, Value, bisect_root, check_probability,
 )
 
 
@@ -28,8 +27,7 @@ class DecisionPolicy(enum.Enum):
     UPPER_BOUND = "upper"
 
 
-@dataclass(frozen=True, slots=True)
-class KeyRateReport:
+class KeyRateReport(Value):
     """Asymptotic key rate at some error rate."""
 
     rate: float

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    CIMethod, QberEstimate, check_confidence, check_increasing, check_probability,
+    CIMethod, QberEstimate, Value, check_confidence, check_increasing, check_probability,
 )
 from .protocol import (
     ChannelModel, EveStrategy, SessionConfig, check_session_params, run_session,
@@ -56,8 +55,7 @@ def derive_trial_seed(master_seed: int, f_index: int, trial_index: int) -> int:
     return acc
 
 
-@dataclass(frozen=True, slots=True)
-class SweepConfig:
+class SweepConfig(Value):
     """Parameters of an eavesdropper-fraction sweep, checked on construction.
 
     Every runner plans its trials through one, so each parameter is checked
@@ -81,8 +79,7 @@ class SweepConfig:
         check_confidence(self.confidence)
 
 
-@dataclass(frozen=True, slots=True)
-class TrialRow:
+class TrialRow(Value):
     """One trial's bookkeeping, sufficient to recompute every aggregate.
 
     Its fields, in order, are the columns of the sweep's per-trial file.
@@ -98,8 +95,7 @@ class TrialRow:
     qber: float
 
 
-@dataclass(frozen=True, slots=True)
-class AggregateRow:
+class AggregateRow(Value):
     """One sweep point: the aggregate over its trials, with the theoretical
     f/4 alongside. Its fields, in order, are the columns of the sweep's
     aggregate file."""
@@ -113,8 +109,7 @@ class AggregateRow:
     theory: float
 
 
-@dataclass(frozen=True, slots=True)
-class SweepResult:
+class SweepResult(Value):
     """The rows of a sweep's two files: one per point and one per trial."""
 
     per_point: tuple[AggregateRow, ...]
@@ -192,8 +187,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     return SweepResult(per_point=tuple(points), per_trial_rows=tuple(trial_rows))
 
 
-@dataclass(frozen=True, slots=True)
-class HistogramResult:
+class HistogramResult(Value):
     """Binned per-trial QBER values, with their mean and sample std."""
 
     bin_edges: tuple[float, ...]
@@ -253,8 +247,7 @@ def run_histogram(
     return HistogramResult(bin_edges=edges, counts=tuple(counts), mean=mean, std=std)
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteSizePoint:
+class FiniteSizePoint(Value):
     """Aggregate at one qubit count, plus the mean per-trial interval width."""
 
     n_qubits: int

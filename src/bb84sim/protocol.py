@@ -34,10 +34,9 @@ package attributes, as perfbench does, need not import them first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import QberEstimate, check_probability
+from .core import QberEstimate, Value, check_probability
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,8 +48,7 @@ class EmptySampleError(RuntimeError):
     1; the caller should increase n_qubits (or the sample fraction)."""
 
 
-@dataclass(frozen=True, slots=True)
-class ChannelModel:
+class ChannelModel(Value):
     """Quantum channel noise model.
 
     The depolarizing channel replaces the qubit, with probability p, by a
@@ -74,8 +72,7 @@ class ChannelModel:
         return cls(p)
 
 
-@dataclass(frozen=True, slots=True)
-class EveStrategy:
+class EveStrategy(Value):
     """Intercept-resend eavesdropping on a fraction f of the qubits. The
     absent eavesdropper is f = 0."""
 
@@ -106,8 +103,7 @@ def check_session_params(n_qubits: int, sample_fraction: float, seed: int) -> No
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
 
 
-@dataclass(frozen=True, slots=True)
-class SessionConfig:
+class SessionConfig(Value):
     """Parameters of one BB84 session.
 
     sample_fraction must be strictly inside (0, 1): some sifted bits are
@@ -124,8 +120,7 @@ class SessionConfig:
         check_session_params(self.n_qubits, self.sample_fraction, self.seed)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class TransmissionLedger:
+class TransmissionLedger(Value):
     """Per-qubit ledger of a whole session, stored as equal-length numpy
     columns for vectorized auditing. Entries of `eve_bases` and `eve_bits`
     are only meaningful where `eve_intercepted` is set.
@@ -145,6 +140,8 @@ class TransmissionLedger:
     sifted: np.ndarray
     sampled: np.ndarray
 
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
     def __post_init__(self) -> None:
         n = len(self.alice_bits)
         if any(len(getattr(self, name)) != n for name in self.__slots__):
@@ -154,8 +151,7 @@ class TransmissionLedger:
         return len(self.alice_bits)
 
 
-@dataclass(frozen=True, slots=True)
-class SessionResult:
+class SessionResult(Value):
     """Outcome of one session: the ledger (None for a counts-only session)
     plus sift/sample bookkeeping."""
 

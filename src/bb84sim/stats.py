@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
-    BISECT_TOL, CIMethod, ConfidenceInterval, QberEstimate,
+    BISECT_TOL, CIMethod, ConfidenceInterval, QberEstimate, Value,
     bisect_root, check_compared_n, check_confidence, check_probability,
 )
 
@@ -236,8 +235,7 @@ def check_trials(trials: int) -> None:
         raise ValueError(f"need at least 2 trials to aggregate, got {trials}")
 
 
-@dataclass(frozen=True, slots=True)
-class TrialAggregate:
+class TrialAggregate(Value):
     """Cross-trial summary: mean, sample std (divisor m - 1), and the
     normal-approximation interval for the mean, mean +/- z * std / sqrt(m)."""
 

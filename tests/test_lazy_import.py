@@ -4,7 +4,8 @@ runs at once, `json` only by the JSON format, `csv` only to parse a CSV file,
 `tempfile` only by a sweep, scipy only when a Clopper-Pearson interval or a
 binomial tail is computed and `statistics` only when a normal quantile is.
 None of them loads with the package or for the security threshold, yet every
-bb84sim module still does.
+bb84sim module still does. The value types are built without `dataclasses`,
+so it loads only with scipy, and `inspect` only with numpy.
 
 Each check runs in a fresh interpreter, because this test session has
 already imported numpy and scipy (test_stats.py takes its reference values
@@ -104,6 +105,31 @@ def test_threshold_leaves_tempfile_unloaded(tmp_path):
     code = CLI_SNIPPET.format(argv=["threshold", "--qber", "0.05"]).replace(
         LOADED, "print('tempfile' in sys.modules)")
     printed, loaded = _run(code, tmp_path, "-S")
+    assert printed.splitlines()[-1] == "0"
+    assert loaded == {"False"}
+
+
+def test_threshold_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # -S, as a site hook may load either before any bb84sim code runs
+    code = ("import sys, bb84sim, bb84sim.cli\n"
+            "bb84sim.threshold_root()\n"
+            "print(bb84sim.cli.main(['threshold', '--qber', '0.05']))\n"
+            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    printed, loaded = _run(code, tmp_path, "-S")
+    assert printed.splitlines()[-1] == "0"
+    assert loaded == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["trial", "--ci", "wald", "--qubits", "200"],
+    ["sweep", "--f-step", "0.5", "--trials", "2", "--qubits", "200", "--out", "s"],
+], ids=["trial-wald", "sweep-csv"])
+def test_commands_without_scipy_leave_dataclasses_unloaded(argv, tmp_path):
+    """numpy loads `inspect` and scipy `dataclasses`, so a Clopper-Pearson
+    interval loads both."""
+    code = CLI_SNIPPET.format(argv=argv).replace(
+        LOADED, "print('dataclasses' in sys.modules)")
+    printed, loaded = _run(code, tmp_path)
     assert printed.splitlines()[-1] == "0"
     assert loaded == {"False"}
 
