@@ -20,10 +20,10 @@ identical numbers.
 The default master seed is 42; the BB84SIM_SEED environment variable
 overrides it, and an explicit --seed flag overrides both.
 
-`csv` is imported by `parse_csv`, `json` by `format_json` and `tempfile` by
-`_sweep_inputs`. So a CSV sweep loads neither `csv` nor `json`, and neither
-does `threshold` or `trial` with a `--ci` other than clopper-pearson (scipy
-imports both, and `dataclasses`, which no command loads otherwise). numpy,
+No bb84sim code imports `csv`: CSV is joined and split on commas here.
+`json` is imported by `format_json` and `tempfile` by `_sweep_inputs`, so a
+CSV sweep, `threshold` and `trial` with a `--ci` other than clopper-pearson
+leave `json` unloaded; scipy loads it with `csv` and `dataclasses`. numpy,
 scipy and the thread pool are imported where the package runs them (see
 protocol, harness and stats). The bb84sim modules are imported here: they
 load with the package anyway, and handlers look up `run_session` and
@@ -62,9 +62,9 @@ SEED_ENV_VAR = "BB84SIM_SEED"
 SESSION_BYTES_PER_QUBIT = 23
 
 # Peak allocation of a sweep per per-trial row: run_sweep, then both files
-# formatted. tracemalloc reads 2.06-2.19 kB a row for JSON and 0.36-0.60 kB
-# for CSV over grids of 100-2,000 points, most at 2 trials a point, where
-# each trial row also carries half an aggregate row.
+# formatted. tracemalloc reads 2.10-2.24 kB a row for JSON and 0.38-0.48 kB
+# for CSV on grids of 100x50 to 2,000x2 (points x trials), most at 2 trials
+# a point, where each trial row also carries half an aggregate row.
 TRIAL_ROW_BYTES = 2_400
 
 _CI_CHOICES = tuple(m.value for m in CIMethod)
@@ -92,30 +92,18 @@ def columns(row_type: type) -> tuple[tuple[str, type], ...]:
     return tuple((name, hints[name]) for name in row_type.__slots__)
 
 
-@cache
-def _cell_function(row_type: type, float_format: Callable) -> Callable[[object], list]:
-    """The function from a row to its cells, float columns through float_format.
-
-    It is built once per (row type, format), so a row costs one attribute
-    fetch and one call per float column.
-    """
+def _lines(row_type: type, rows: Iterable, float_format: Callable = _fmt) -> Iterator[list]:
+    """The column names, then each row's cells with float columns through
+    float_format: one attribute fetch a row and one call a float cell."""
     cols = columns(row_type)
     values = attrgetter(*(name for name, _ in cols))
     float_at = [i for i, (_, kind) in enumerate(cols) if kind is float]
-
-    def cells(row: object) -> list:
-        out = list(values(row))
+    yield [name for name, _ in cols]
+    for row in rows:
+        cells = list(values(row))
         for i in float_at:
-            out[i] = float_format(out[i])
-        return out
-
-    return cells
-
-
-def _lines(row_type: type, rows: Iterable) -> Iterator[list]:
-    """The column names, then each row's cells with floats 6-decimal."""
-    yield [name for name, _ in columns(row_type)]
-    yield from map(_cell_function(row_type, _fmt), rows)
+            cells[i] = float_format(cells[i])
+        yield cells
 
 
 def format_csv(row_type: type, rows: Sequence) -> str:
@@ -125,25 +113,24 @@ def format_csv(row_type: type, rows: Sequence) -> str:
 
 
 def parse_csv(row_type: type, text: str) -> list:
-    """Rows of a file written by format_csv; format_csv reproduces its bytes."""
-    import csv
-
+    """Rows of a file written by format_csv, whose bytes it reproduces: each
+    line split on the commas that format_csv joined its cells with."""
     cols = columns(row_type)
-    reader = csv.reader(text.splitlines())
-    header = next(reader)
-    if header != [name for name, _ in cols]:
-        raise ValueError(f"unexpected {row_type.__name__} CSV header: {header}")
-    return [row_type(*(kind(cell) for (_, kind), cell in zip(cols, rec))) for rec in reader]
+    header, *records = text.splitlines() or [""]
+    if header.split(",") != [name for name, _ in cols]:
+        raise ValueError(f"unexpected {row_type.__name__} CSV header: {header!r}")
+    return [row_type(*(kind(cell) for (_, kind), cell in zip(cols, rec.split(","))))
+            for rec in records]
 
 
 def format_json(schema: str, row_type: type, rows: Sequence) -> str:
     """JSON with the CSV's columns; floats are rounded to the CSV's 6 decimals."""
     import json
 
-    names = [name for name, _ in columns(row_type)]
-    cells = _cell_function(row_type, _JSON_FLOAT)
+    lines = _lines(row_type, rows, _JSON_FLOAT)
+    names = next(lines)
     payload = {"schema": schema, "columns": names,
-               "rows": [dict(zip(names, cells(r))) for r in rows]}
+               "rows": [dict(zip(names, cells)) for cells in lines]}
     return json.dumps(payload, indent=2) + "\n"
 
 

@@ -42,6 +42,7 @@ def test_the_tracer_sees_every_interval_and_decision_call():
     # round the traced names would read 0 there
     spans = _load("spans")
     est = bb84sim.QberEstimate(3, 100)
+    bb84sim.threshold_root()  # a cold cache would bisect on the traced key_rate
     with spans.Tracer() as tracer:
         tracer.install(bb84sim)
         intervals = {m: bb84sim.confidence_interval(est, 0.95, m) for m in bb84sim.CIMethod}

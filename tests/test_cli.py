@@ -191,6 +191,12 @@ def test_memory_check_reads_this_hosts_memory(monkeypatch, tmp_path, capsys):
     assert "physical memory" in err
 
 
+def test_memory_check_refuses_nothing_where_sysconf_cannot_tell(monkeypatch):
+    monkeypatch.setattr(os, "sysconf_names", {}, raising=False)
+    assert cli._physical_memory() is None
+    cli._check_memory(10**30, "10^30 bytes")
+
+
 @pytest.mark.parametrize("argv, rows", [
     (["sweep", "--qubits", "100"], 21 * 50),
     (["sweep", "--f-step", "0.5", "--trials", "4", "--qubits", "100"], 3 * 4),
@@ -351,6 +357,12 @@ _ARGV = st.one_of(
           _maybe("policy", st.sampled_from(cli._POLICY_CHOICES)), *_SESSION_FLAGS),
     _argv("ci", _flag("k", _COUNTS), _flag("n", _COUNTS), _maybe("confidence", _CONFIDENCE)),
     _argv("threshold", _flag("qber", _PROBABILITY)),
+    # what argparse itself refuses: a malformed value, an unknown flag or
+    # subcommand, a missing required flag, no argv at all
+    st.tuples(st.sampled_from(["sweep", "trial", "ci", "threshold"]),
+              st.sampled_from(["--qubits=x", "--workers=2.5", "--bogus", "--ci=foo"])
+              ).map(list),
+    st.sampled_from([[], ["frobnicate"], ["ci", "--k=1"]]),
 )
 _SEED_ENV = st.one_of(st.none(), st.integers(0, 2**64 - 1).map(str),
                       st.sampled_from(["", "x", "1.5", "-1", str(2**64)]))
@@ -363,6 +375,13 @@ _SEED_ENV = st.one_of(st.none(), st.integers(0, 2**64 - 1).map(str),
 @example(argv=["trial", "--qubits=3", "--sample-fraction=0.1"], seed_env=None)
 @example(argv=["sweep", "--qubits=4", "--trials=2", "--f-step=0.5"], seed_env=None)
 @example(argv=["ci", "--k=1", f"--n={2**1024}"], seed_env=None)
+@example(argv=[], seed_env=None)
+@example(argv=["frobnicate"], seed_env=None)
+@example(argv=["ci", "--k=1"], seed_env=None)
+@example(argv=["trial", "--qubits=x"], seed_env=None)
+@example(argv=["sweep", "--workers=2.5"], seed_env=None)
+@example(argv=["trial", "--bogus"], seed_env=None)
+@example(argv=["trial", "--ci=foo"], seed_env=None)
 def test_every_invocation_ends_in_a_report_or_a_usage_error(argv, seed_env):
     out, err = io.StringIO(), io.StringIO()
     with (tempfile.TemporaryDirectory() as out_dir, mock.patch.dict(os.environ),
@@ -370,15 +389,16 @@ def test_every_invocation_ends_in_a_report_or_a_usage_error(argv, seed_env):
         os.environ.pop(cli.SEED_ENV_VAR, None)
         if seed_env is not None:
             os.environ[cli.SEED_ENV_VAR] = seed_env
-        if argv[0] == "sweep":
+        if argv[:1] == ["sweep"]:
             argv = [*argv, f"--out={os.path.join(out_dir, 's')}"]
         code = main(argv)
         written = sorted(os.listdir(out_dir))
+    # argparse names the subcommand whose flags it refuses
     errors = [line for line in err.getvalue().splitlines()
-              if line.startswith("bb84sim: error:")]
+              if re.match(r"bb84sim( [a-z]+)?: error:", line)]
     assert code in (0, 1), (argv, err.getvalue())
     assert len(errors) == (code == 1), (argv, err.getvalue())
-    if argv[0] == "sweep" and code == 0:
+    if argv[:1] == ["sweep"] and code == 0:
         ext = "json" if "--format=json" in argv else "csv"
         assert written == [f"s_aggregate.{ext}", f"s_trials.{ext}"]
     else:
@@ -654,10 +674,45 @@ def test_format_csv_writes_the_csv_modules_bytes():
                            (AggregateRow, result.per_point)):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(name for name, _ in columns(row_type))
-        writer.writerows(map(cli._cell_function(row_type, cli._fmt), rows))
+        writer.writerows(cli._lines(row_type, rows))
         assert cli.format_csv(row_type, rows) == buf.getvalue()
         assert buf.getvalue().count("\n") == len(rows) + 1
+
+
+# every int a row can hold and every float a sweep writes, with -0.0
+_CELLS = {int: st.integers(0, 2**64), float: st.one_of(st.just(-0.0), st.floats(0.0, 1.0))}
+
+
+def _table(row_type):
+    row = st.builds(row_type, *(_CELLS[kind] for _, kind in columns(row_type)))
+    return st.tuples(st.just(row_type), st.lists(row, max_size=5))
+
+
+@given(table=st.one_of(_table(TrialRow), _table(AggregateRow)))
+def test_parse_csv_inverts_format_csv(table):
+    row_type, rows = table
+    text = cli.format_csv(row_type, rows)
+    assert cli.format_csv(row_type, parse_csv(row_type, text)) == text
+
+
+def test_parse_csv_refuses_a_wrong_header_or_empty_text():
+    with pytest.raises(ValueError, match="unexpected TrialRow CSV header: 'f,trials,"):
+        parse_csv(TrialRow, AGGREGATE_HEADER + "\n")
+    with pytest.raises(ValueError, match="unexpected AggregateRow CSV header: 'trials,f,"):
+        parse_csv(AggregateRow, AGGREGATE_HEADER.replace("f,trials", "trials,f") + "\n")
+    with pytest.raises(ValueError, match="unexpected AggregateRow CSV header: ''"):
+        parse_csv(AggregateRow, "")
+
+
+def test_parse_csv_reads_crlf_line_ends(tmp_path):
+    rows = [AggregateRow(0.5, 3, 0.125, 0.01, 0.1, 0.15, 0.125),
+            AggregateRow(1.0, 3, 0.25, 0.0, 0.25, 0.25, 0.25)]
+    path = tmp_path / "a.csv"
+    path.write_bytes(cli.format_csv(AggregateRow, rows).replace("\n", "\r\n").encode())
+    with open(path, encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    assert text.count("\r\n") == 3
+    assert parse_csv(AggregateRow, text) == rows
 
 
 def test_sweep_repeat_runs_are_byte_identical(monkeypatch, tmp_path, capsys):

@@ -140,6 +140,12 @@ def test_decide_default_policy_is_upper_bound():
     assert decide(est, wide).qber_used == 0.17
 
 
+def test_decide_refuses_a_policy_that_is_not_a_decision_policy():
+    # the policy's value names no policy: decide compares by identity
+    with pytest.raises(ValueError, match="unknown policy 'upper'"):
+        decide(QberEstimate(1, 100), _interval(0.0, 0.1), "upper")
+
+
 def test_decide_exactly_at_threshold_aborts():
     root = threshold_root()
     verdict = decide(QberEstimate(1, 100), _interval(root, root))

@@ -1,11 +1,12 @@
 """Heavy imports wait for the code that uses them. numpy is imported by the
 functions that draw or bin, the thread pool only when more than one session
-runs at once, `json` only by the JSON format, `csv` only to parse a CSV file,
-`tempfile` only by a sweep, scipy only when a Clopper-Pearson interval or a
-binomial tail is computed and `statistics` only when a normal quantile is.
-None of them loads with the package or for the security threshold, yet every
-bb84sim module still does. The value types are built without `dataclasses`,
-so it loads only with scipy, and `inspect` only with numpy.
+runs at once, `json` only by the JSON format, `tempfile` only by a sweep,
+scipy only when a Clopper-Pearson interval or a binomial tail is computed and
+`statistics` only when a normal quantile is; `csv` never, since CSV is joined
+and split on commas. None of them loads with the package or for the security
+threshold, yet every bb84sim module still does. The value types are built
+without `dataclasses`, so it loads only with scipy, and `inspect` only with
+numpy.
 
 Each check runs in a fresh interpreter, because this test session has
 already imported numpy and scipy (test_stats.py takes its reference values
@@ -132,6 +133,18 @@ def test_commands_without_scipy_leave_dataclasses_unloaded(argv, tmp_path):
     printed, loaded = _run(code, tmp_path)
     assert printed.splitlines()[-1] == "0"
     assert loaded == {"False"}
+
+
+def test_parsing_a_sweeps_csv_leaves_csv_unloaded(tmp_path):
+    argv = ["sweep", "--f-step", "0.5", "--trials", "2", "--qubits", "200", "--out", "s"]
+    code = ("import sys\nfrom bb84sim import cli\n"
+            f"print(cli.main({argv!r}))\n"
+            "for row_type, name in ((cli.TrialRow, 's_trials.csv'),\n"
+            "                       (cli.AggregateRow, 's_aggregate.csv')):\n"
+            "    print(len(cli.parse_csv(row_type, open(name).read())))\n") + LOADED
+    printed, loaded = _run(code, tmp_path)
+    assert printed.splitlines()[-3:] == ["0", "6", "3"]
+    assert "csv" not in loaded
 
 
 def test_many_workers_on_one_cpu_leave_the_thread_pool_unloaded(tmp_path):

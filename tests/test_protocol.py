@@ -8,6 +8,7 @@ from bb84sim.protocol import (
     EmptySampleError,
     EveStrategy,
     SessionConfig,
+    SessionResult,
     TransmissionLedger,
     run_session,
 )
@@ -152,6 +153,14 @@ def test_ledger_rejects_columns_of_unequal_length(short):
     with pytest.raises(ValueError, match="equal length"):
         TransmissionLedger(**columns)
     assert len(TransmissionLedger(**{name: col[:7] for name, col in columns.items()})) == 7
+
+
+def test_session_result_refuses_a_sifted_count_its_ledger_does_not_hold():
+    result = _session(n=200, f=0.5, seed=3)
+    with pytest.raises(ValueError, match="sifted_count does not match the ledger"):
+        SessionResult(result.records, result.sifted_count + 1, result.estimate)
+    # a counts-only result has no ledger to check against
+    assert SessionResult(None, result.sifted_count + 1, result.estimate).records is None
 
 
 def test_session_error_count_recomputable_from_ledger():

@@ -10,7 +10,7 @@ import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
 from bb84sim import stats
-from bb84sim.core import BISECT_TOL, CIMethod, QberEstimate, bisect_root
+from bb84sim.core import BISECT_TOL, CIMethod, ConfidenceInterval, QberEstimate, bisect_root
 from bb84sim.stats import (
     aggregate_trials,
     ci_clopper_pearson,
@@ -603,6 +603,11 @@ def test_aggregate_identical_trials_is_degenerate():
 def test_aggregate_clamps_to_unit_interval():
     agg = aggregate_trials([QberEstimate(0, 10)] * 3 + [QberEstimate(1, 10)], 0.95)
     assert agg.ci_of_mean.lower >= 0.0
+
+
+def test_aggregate_refuses_a_negative_std_dev():
+    with pytest.raises(ValueError, match="std_dev must be non-negative: -1e-09"):
+        stats.TrialAggregate(2, 0.1, -1e-9, ConfidenceInterval(0.0, 0.2))
 
 
 def test_aggregate_needs_two_trials():
