@@ -33,6 +33,7 @@ load with the package anyway, and handlers look up `run_session` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from functools import cache, partial
@@ -62,9 +63,9 @@ SEED_ENV_VAR = "BB84SIM_SEED"
 SESSION_BYTES_PER_QUBIT = 23
 
 # Peak allocation of a sweep per per-trial row: run_sweep, then both files
-# formatted. tracemalloc reads 2.10-2.24 kB a row for JSON and 0.38-0.48 kB
-# for CSV on grids of 100x50 to 2,000x2 (points x trials), most at 2 trials
-# a point, where each trial row also carries half an aggregate row.
+# formatted. Warm (numpy.random and json imported), tracemalloc reads
+# 2.12-2.23 kB a row for JSON and 0.38-0.49 kB for CSV at 1,000 qubits on
+# 20x50 to 1,000x2 points x trials (test_trial_row_charge_covers_a_sweeps_peak).
 TRIAL_ROW_BYTES = 2_400
 
 _CI_CHOICES = tuple(m.value for m in CIMethod)
@@ -320,10 +321,18 @@ def cmd_sweep(args: argparse.Namespace, config: SweepConfig) -> int:
     formats = ((format_trials_csv, format_aggregate_csv) if args.format == "csv"
                else (format_trials_json, format_aggregate_json))
     paths = _sweep_paths(args)
-    for path, format_rows, rows in zip(
-            paths, formats, (result.per_trial_rows, result.per_point)):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(format_rows(rows))
+    opened = []  # a write that fails takes with it every file this run opened
+    try:
+        for path, format_rows, rows in zip(
+                paths, formats, (result.per_trial_rows, result.per_point)):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                opened.append(path)
+                fh.write(format_rows(rows))
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
 
     # a float column is as wide as a 6-decimal value in [0, 1], an int
     # column as wide as its name

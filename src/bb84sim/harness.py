@@ -1,5 +1,6 @@
 """Reproducible Monte Carlo runners: the eavesdropper-fraction sweep, QBER
-histograms, and finite-size studies.
+histograms, and finite-size studies. All three compute a point in one step,
+`_run_point`: its seeded trials, then their `aggregate_trials`.
 
 Every trial gets its own seed derived from (master_seed, point index, trial
 index) with a SplitMix64-style mixer, so trials are independent, reorderable,
@@ -124,9 +125,10 @@ def sessions_at_once(workers: int, trials: int) -> int:
     return min(workers, os.cpu_count() or 1, trials)
 
 
-def _run_point_trials(config: SweepConfig, f: float, index: int,
-                      sessions: int = 1) -> list[TrialRow]:
-    """The config's trials at fraction f, seeded from (master seed, index)."""
+def _run_point(config: SweepConfig, f: float, index: int,
+               sessions: int = 1) -> tuple[list[TrialRow], TrialAggregate]:
+    """The config's trials at fraction f, seeded from (master seed, index),
+    and their aggregate at config.confidence: every runner's one step a point."""
     eve = EveStrategy.intercept_resend(f)
 
     def job(t: int) -> TrialRow:
@@ -155,12 +157,11 @@ def _run_point_trials(config: SweepConfig, f: float, index: int,
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=sessions) as pool:
-            return list(pool.map(job, range(config.trials_per_f)))
-    return [job(t) for t in range(config.trials_per_f)]
-
-
-def _estimates(rows: Sequence[TrialRow]) -> list[QberEstimate]:
-    return [QberEstimate(r.errors_k, r.compared_n) for r in rows]
+            rows = list(pool.map(job, range(config.trials_per_f)))
+    else:
+        rows = [job(t) for t in range(config.trials_per_f)]
+    estimates = [QberEstimate(r.errors_k, r.compared_n) for r in rows]
+    return rows, aggregate_trials(estimates, config.confidence)
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
@@ -172,9 +173,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     trial_rows: list[TrialRow] = []
     points: list[AggregateRow] = []
     for index, f in enumerate(config.f_values):
-        rows = _run_point_trials(config, f, index, sessions)
+        rows, agg = _run_point(config, f, index, sessions)
         trial_rows.extend(rows)
-        agg = aggregate_trials(_estimates(rows), config.confidence)
         points.append(AggregateRow(
             f=f,
             trials=agg.trials_m,
@@ -228,10 +228,9 @@ def run_histogram(
     config = SweepConfig((f,), trials, n_qubits, sample_fraction, channel, master_seed)
     if not 0.0 < bin_width < math.inf:
         raise ValueError(f"bin_width must be positive and finite, got {bin_width}")
-    sweep = run_sweep(config)
-    point = sweep.per_point[0]
-    mean, std = point.mean_qber, point.std_dev
-    values = [r.qber for r in sweep.per_trial_rows]
+    rows, agg = _run_point(config, f, 0)
+    mean, std = agg.mean_qber, agg.std_dev
+    values = [r.qber for r in rows]
     lo = min(max(0.0, mean - 5.0 * std), min(values))
     hi = max(mean + 5.0 * std, max(values) + bin_width * 1e-9)
     n_bins = max(1, math.ceil((hi - lo) / bin_width))
@@ -281,13 +280,9 @@ def run_finite_size_study(
     ]
     out: list[FiniteSizePoint] = []
     for n_index, config in enumerate(configs):
-        estimates = _estimates(_run_point_trials(config, f, n_index))
-        widths = [interval(e, confidence).width for e in estimates]
-        out.append(
-            FiniteSizePoint(
-                n_qubits=config.n_qubits,
-                aggregate=aggregate_trials(estimates, confidence),
-                ci_width=math.fsum(widths) / len(widths),
-            )
-        )
+        rows, agg = _run_point(config, f, n_index)
+        widths = [interval(QberEstimate(r.errors_k, r.compared_n), confidence).width
+                  for r in rows]
+        out.append(FiniteSizePoint(n_qubits=config.n_qubits, aggregate=agg,
+                                   ci_width=math.fsum(widths) / len(widths)))
     return out

@@ -1,12 +1,16 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -129,6 +133,30 @@ def test_memory_estimate_covers_a_session_peak(sample_fraction, p, ledger):
     finally:
         tracemalloc.stop()
     assert peak <= n * cli.SESSION_BYTES_PER_QUBIT
+
+
+# 2 trials a point is the most a row costs: each trial row also carries half
+# an aggregate row.
+@pytest.mark.parametrize("points, trials", [(200, 2), (20, 50)])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_trial_row_charge_covers_a_sweeps_peak(fmt, points, trials):
+    formats = ((format_trials_csv, format_aggregate_csv) if fmt == "csv"
+               else (cli.format_trials_json, cli.format_aggregate_json))
+    config = SweepConfig(tuple(i / points for i in range(points)), trials, 1_000)
+    # warm: numpy imports its random module on first use, format_json json
+    cli.format_trials_json(run_sweep(SweepConfig((0.5,), 2, 1_000)).per_trial_rows)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run_sweep(config)
+        texts = [format_rows(rows) for format_rows, rows
+                 in zip(formats, (result.per_trial_rows, result.per_point))]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert all(texts)
+    assert peak <= points * trials * cli.TRIAL_ROW_BYTES
 
 
 def _no_session(*args, **kwargs):
@@ -274,6 +302,52 @@ def test_output_path_that_is_a_directory_is_refused_before_any_session(
     assert [path.name for path in tmp_path.iterdir()] == ["s_aggregate.csv"]
 
 
+class _FillingFile:
+    """A file on a disk that fills after its first ten characters."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:10])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("failure", ["aggregate-open", "trials-write"])
+def test_a_write_that_fails_late_leaves_no_output(fmt, failure, monkeypatch, tmp_path, capsys):
+    """The disk fills after --out passed its checks: the aggregate file
+    cannot be opened, or the trials file takes only part of its text. The
+    run exits 2 and removes each file it opened; the aggregate file there
+    before the run is left as it was, since this run never opened it."""
+    failing, step = failure.split("-")
+    (tmp_path / f"s_aggregate.{fmt}").write_text("kept\n")
+
+    def full_disk(path, *args, **kwargs):
+        if path != f"s_{failing}.{fmt}":
+            return open(path, *args, **kwargs)
+        if step == "open":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return _FillingFile(open(path, *args, **kwargs))
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    code, out, err = run_cli(
+        ["sweep", "--f-step", "0.5", "--trials", "2", "--qubits", "200", "--out", "s",
+         "--format", fmt], monkeypatch, tmp_path, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"bb84sim: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert [path.name for path in tmp_path.iterdir()] == [f"s_aggregate.{fmt}"]
+    assert (tmp_path / f"s_aggregate.{fmt}").read_text() == "kept\n"
+
+
 def test_zero_workers_is_refused_before_any_session(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "run_session", _no_session)
     monkeypatch.setattr(cli, "run_sweep", _no_session)
@@ -403,6 +477,23 @@ def test_every_invocation_ends_in_a_report_or_a_usage_error(argv, seed_env):
         assert written == [f"s_aggregate.{ext}", f"s_trials.{ext}"]
     else:
         assert written == []
+
+
+@pytest.mark.parametrize("argv, status", [
+    pytest.param(["threshold", "--qber", "0.05"], 0, id="threshold"),
+    pytest.param(["trial", "--qubits", "1"], 1, id="trial-error"),
+])
+def test_python_m_bb84sim_is_main(argv, status, monkeypatch, tmp_path, capsys):
+    """`python -m bb84sim` exits, prints and reports an error as cli.main does."""
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bb84sim", *argv], cwd=tmp_path, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src), text=True, timeout=120)
+    assert proc.returncode == status
+    assert proc.stderr.count("bb84sim: error:") == len(proc.stderr.splitlines()) == status
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(
+        argv, monkeypatch, tmp_path, capsys)
 
 
 def test_success_exits_0(monkeypatch, tmp_path, capsys):

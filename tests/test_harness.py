@@ -18,8 +18,10 @@ from bb84sim.harness import (
     run_histogram,
     run_sweep,
 )
-from bb84sim.protocol import ChannelModel, EmptySampleError
-from bb84sim.stats import aggregate_trials, hoeffding_half_width
+from bb84sim.protocol import (
+    ChannelModel, EmptySampleError, EveStrategy, SessionConfig, run_session,
+)
+from bb84sim.stats import aggregate_trials, confidence_interval, hoeffding_half_width
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +253,8 @@ def test_histogram_closes_its_last_bin(monkeypatch):
     ks = [2**31 - 1, 2**31 + 1] + [2**31] * 58
     rows = [harness.TrialRow(1.0, t, 0, 2**34, 2**34, 2**33, k, k / 2**33)
             for t, k in enumerate(ks)]
-    monkeypatch.setattr(harness, "_run_point_trials", lambda *args: rows)
+    agg = aggregate_trials([QberEstimate(r.errors_k, r.compared_n) for r in rows], 0.95)
+    monkeypatch.setattr(harness, "_run_point", lambda *args: (rows, agg))
     hist = run_histogram(1.0, trials=60, bin_width=2**-34)
     assert hist.bin_edges[-1] == max(r.qber for r in rows)
     counts, _ = np.histogram([r.qber for r in rows], bins=hist.bin_edges)
@@ -337,6 +340,29 @@ def test_finite_size_input_validation(monkeypatch):
     for bad_method in ("wald", None):
         with pytest.raises(ValueError, match="unknown interval method"):
             run_finite_size_study(0.25, [2_000, 8_000], trials=5, ci_method=bad_method)
+
+
+def test_finite_size_point_i_runs_the_seeds_of_index_i():
+    """Point i is the counts-only sessions at n_values[i] seeded
+    derive_trial_seed(master_seed, i, t): its aggregate and mean interval
+    width are theirs to the bit."""
+    f, n_values, trials, seed, confidence = 0.5, [1_000, 2_000, 3_000], 3, 11, 0.9
+    channel = ChannelModel.depolarizing(0.05)
+    points = run_finite_size_study(
+        f, n_values, trials=trials, sample_fraction=0.4, channel=channel,
+        master_seed=seed, ci_method=CIMethod.WILSON, confidence=confidence)
+    assert len(points) == len(n_values)
+    for i, (n, point) in enumerate(zip(n_values, points)):
+        estimates = [
+            run_session(SessionConfig(n, EveStrategy.intercept_resend(f), channel, 0.4,
+                                      derive_trial_seed(seed, i, t)), ledger=False).estimate
+            for t in range(trials)
+        ]
+        widths = [confidence_interval(e, confidence, CIMethod.WILSON).width
+                  for e in estimates]
+        assert point.n_qubits == n
+        assert point.aggregate == aggregate_trials(estimates, confidence)
+        assert point.ci_width == math.fsum(widths) / trials
 
 
 def test_finite_size_honours_interval_method():
