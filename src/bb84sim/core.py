@@ -10,6 +10,7 @@ that exists is internally consistent. `Value` is the base of every value type.
 from __future__ import annotations
 
 import enum
+import operator
 from typing import Callable, Sequence
 
 
@@ -54,8 +55,13 @@ def check_confidence(confidence: float) -> None:
 
 
 def check_compared_n(compared_n: int) -> None:
-    """Raise ValueError unless at least one bit was compared, and no more than
-    a float can hold: every interval takes the count as a float."""
+    """Raise ValueError unless compared_n is an integer (a numpy one too), at
+    least one bit was compared, and no more than a float can hold: every
+    interval takes the count as a float."""
+    try:
+        operator.index(compared_n)
+    except TypeError:
+        raise ValueError(f"compared_n must be an integer, got {compared_n!r}") from None
     if compared_n < 1:
         raise ValueError(f"compared_n must be positive, got {compared_n}")
     try:
@@ -84,21 +90,28 @@ def bisect_root(root_above: Callable[[float], bool]) -> float:
 class _ValueType(type):
     """Makes a class body's annotated fields its `__slots__`, `__match_args__`
     and `__init__` parameters, in order, with the body's defaults. `__init__`
-    looks `__post_init__` up at each call, so a wrapper set on the class runs."""
+    writes each field through the `__set__` of its slot's member descriptor,
+    bound once when the class is made, so no write looks its name up as
+    `object.__setattr__` would. It still looks `__post_init__` up at each
+    call, so a wrapper set on the class later runs (perfbench's tracer sets
+    one to time each validation)."""
 
     def __new__(mcls, name, bases, namespace):
         names = tuple(namespace.get("__annotations__", ()))
         defaults = {n: namespace.pop(n) for n in names if n in namespace}
         namespace.update(__slots__=names, __match_args__=names)
-        if bases:  # Value itself has no fields and is no dataclass
-            params = "".join(f", {n}={n}" if n in defaults else f", {n}" for n in names)
-            body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
-            post = "\n    self.__post_init__()" if "__post_init__" in namespace else ""
-            exec(f"def __init__(self{params}):{body}{post}",
-                 dict(defaults, _set=object.__setattr__), namespace)
-            namespace.update(__dataclass_fields__=_DataclassView(),
-                             __dataclass_params__=_DataclassView())
-        return super().__new__(mcls, name, bases, namespace)
+        if not bases:  # Value itself has no fields and is no dataclass
+            return super().__new__(mcls, name, bases, namespace)
+        namespace.update(__dataclass_fields__=_DataclassView(),
+                         __dataclass_params__=_DataclassView())
+        cls = super().__new__(mcls, name, bases, namespace)
+        setters = {f"_set_{n}": vars(cls)[n].__set__ for n in names}
+        params = "".join(f", {n}={n}" if n in defaults else f", {n}" for n in names)
+        body = "".join(f"\n    _set_{n}(self, {n})" for n in names)
+        post = "\n    self.__post_init__()" if "__post_init__" in namespace else ""
+        exec(f"def __init__(self{params}):{body}{post}", defaults | setters, made := {})
+        cls.__init__ = made["__init__"]
+        return cls
 
 
 class _DataclassView:
@@ -124,7 +137,10 @@ class Value(metaclass=_ValueType):
     """Base of the value types, written and behaving as frozen slots
     dataclasses but built without `dataclasses` (with `inspect`, a quarter of
     `import bb84sim`). A value is its type and fields, as `__reduce__` gives
-    them, for equality, hashing and pickling."""
+    them, for equality, hashing and pickling. Its `__init__` writes the fields
+    through their slots' descriptors, past the `__setattr__` that refuses
+    every later write, and then calls `__post_init__`, looked up at each call,
+    where a class defines one."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -154,13 +170,19 @@ class Value(metaclass=_ValueType):
 
 
 class QberEstimate(Value):
-    """Error count over a compared sample: k mismatches out of n comparisons."""
+    """Error count over a compared sample: k mismatches out of n comparisons.
+    Both counts are integers, Python's or numpy's; a float is refused, even
+    an integral one."""
 
     errors_k: int
     compared_n: int
 
     def __post_init__(self) -> None:
         check_compared_n(self.compared_n)
+        try:
+            operator.index(self.errors_k)
+        except TypeError:
+            raise ValueError(f"errors_k must be an integer, got {self.errors_k!r}") from None
         if not 0 <= self.errors_k <= self.compared_n:
             raise ValueError(
                 f"errors_k must be in [0, compared_n], got k={self.errors_k}, "

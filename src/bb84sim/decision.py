@@ -38,12 +38,17 @@ class KeyRateReport(Value):
         return self.rate > 0.0
 
 
-def binary_entropy(q: float) -> float:
-    """H2(q) = -q log2 q - (1-q) log2 (1-q), with H2(0) = H2(1) = 0."""
-    check_probability("q", q)
+def _binary_entropy(q: float) -> float:
+    """binary_entropy without its check."""
     if q == 0.0 or q == 1.0:
         return 0.0
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
+
+
+def binary_entropy(q: float) -> float:
+    """H2(q) = -q log2 q - (1-q) log2 (1-q), with H2(0) = H2(1) = 0."""
+    check_probability("q", q)
+    return _binary_entropy(q)
 
 
 def key_rate(qber: float) -> KeyRateReport:
@@ -55,7 +60,7 @@ def key_rate(qber: float) -> KeyRateReport:
     held at its value at 0.5, namely -1.
     """
     check_probability("qber", qber)
-    return KeyRateReport(1.0 - 2.0 * binary_entropy(min(qber, 0.5)))
+    return KeyRateReport(1.0 - 2.0 * _binary_entropy(0.5 if qber > 0.5 else qber))
 
 
 @functools.lru_cache(maxsize=1)

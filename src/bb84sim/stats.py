@@ -21,6 +21,11 @@ library's `statistics.NormalDist`, which implements Wichura's algorithm AS 241
 Each level's quantile is computed once and then kept in a small cache, so
 Wald, Wilson and the aggregate do not rerun AS 241 for a level they have seen.
 
+`confidence_interval` finds a method's construction in the table
+`_CI_FUNCTIONS`, read at each call, so a wrapper put in the table runs. The
+bounds are clamped with conditional expressions that give the floats
+`min`/`max` would, without their calls.
+
 Only Clopper-Pearson needs scipy: the beta quantile `betaincinv` gives each
 bound, and two evaluations of a binomial tail check it. The tails `bdtr`
 (P[X <= k]) and `bdtrc` (P[X > k]) are this module's own, each one call of
@@ -73,7 +78,8 @@ def ci_wald(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     z = normal_quantile(confidence)
     p = est.point_estimate
     half = z * math.sqrt(p * (1.0 - p) / est.compared_n)
-    return ConfidenceInterval(max(0.0, p - half), min(1.0, p + half))
+    lower, upper = p - half, p + half
+    return ConfidenceInterval(lower if lower > 0.0 else 0.0, upper if upper < 1.0 else 1.0)
 
 
 def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
@@ -93,9 +99,10 @@ def ci_wilson(est: QberEstimate, confidence: float) -> ConfidenceInterval:
     centre = (p + z2n / 2.0) / (1.0 + z2n)
     half = (z / (1.0 + z2n)) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
     lower = 1.0 / (1.0 + z2n) if p == 1.0 else centre - half
-    return ConfidenceInterval(
-        max(0.0, min(p, lower)), min(1.0, max(p, centre + half))
-    )
+    upper = centre + half
+    lower = lower if lower < p else p
+    upper = upper if upper > p else p
+    return ConfidenceInterval(lower if lower > 0.0 else 0.0, upper if upper < 1.0 else 1.0)
 
 
 def _scipy_kernel(name: str):
@@ -171,8 +178,8 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
     else:
         # P[X >= k] grows monotonically from 0 to 1 as p sweeps [0, 1].
         lower = betaincinv(k, n - k + 1, half_alpha)
-        below = bdtrc(k - 1, n, max(lower - BISECT_TOL, 0.0))
-        above = bdtrc(k - 1, n, min(lower + BISECT_TOL, 1.0))
+        below = bdtrc(k - 1, n, 0.0 if (edge := lower - BISECT_TOL) < 0.0 else edge)
+        above = bdtrc(k - 1, n, 1.0 if (edge := lower + BISECT_TOL) > 1.0 else edge)
         if not below < half_alpha <= above:
             lower = bisect_root(lambda p: bdtrc(k - 1, n, p) < half_alpha)
     if k == n:
@@ -180,26 +187,34 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
     else:
         # P[X <= k] falls monotonically from 1 to 0.
         upper = 1.0 - betaincinv(n - k, k + 1, half_alpha)
-        below = bdtr(k, n, max(upper - BISECT_TOL, 0.0))
-        above = bdtr(k, n, min(upper + BISECT_TOL, 1.0))
+        below = bdtr(k, n, 0.0 if (edge := upper - BISECT_TOL) < 0.0 else edge)
+        above = bdtr(k, n, 1.0 if (edge := upper + BISECT_TOL) > 1.0 else edge)
         if not above < half_alpha <= below:
             upper = bisect_root(lambda p: bdtr(k, n, p) >= half_alpha)
-    return ConfidenceInterval(min(lower, upper), upper)
+    return ConfidenceInterval(upper if upper < lower else lower, upper)
+
+
+def _hoeffding_half_width(compared_n: int, confidence: float) -> float:
+    """hoeffding_half_width without its checks."""
+    delta = 1.0 - confidence
+    return math.sqrt(math.log(2.0 / delta) / (2.0 * compared_n))
 
 
 def hoeffding_half_width(compared_n: int, confidence: float) -> float:
     """Concentration half-width sqrt(ln(2/delta) / (2n)) with delta = 1 - confidence."""
     check_confidence(confidence)
     check_compared_n(compared_n)
-    delta = 1.0 - confidence
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * compared_n))
+    return _hoeffding_half_width(compared_n, confidence)
 
 
 def ci_hoeffding(est: QberEstimate, confidence: float) -> ConfidenceInterval:
-    """Distribution-free interval p-hat +/- sqrt(ln(2/delta)/(2n)), clamped."""
-    half = hoeffding_half_width(est.compared_n, confidence)
+    """Distribution-free interval p-hat +/- sqrt(ln(2/delta)/(2n)), clamped.
+    The estimate has checked its count already, so only the level is checked."""
+    check_confidence(confidence)
+    half = _hoeffding_half_width(est.compared_n, confidence)
     p = est.point_estimate
-    return ConfidenceInterval(max(0.0, p - half), min(1.0, p + half))
+    lower, upper = p - half, p + half
+    return ConfidenceInterval(lower if lower > 0.0 else 0.0, upper if upper < 1.0 else 1.0)
 
 
 _CI_FUNCTIONS = {
@@ -224,8 +239,14 @@ def interval_function(
 def confidence_interval(
     est: QberEstimate, confidence: float, method: CIMethod
 ) -> ConfidenceInterval:
-    """Dispatch to the requested interval construction (see interval_function)."""
-    return interval_function(method)(est, confidence)
+    """The interval of the requested method: its construction is looked up in
+    `_CI_FUNCTIONS` at each call, so a wrapper set in that table runs.
+    interval_function is called only to raise for a method not in the table."""
+    try:
+        function = _CI_FUNCTIONS[method]
+    except (KeyError, TypeError):
+        function = interval_function(method)  # raises ValueError
+    return function(est, confidence)
 
 
 def check_trials(trials: int) -> None:

@@ -4,6 +4,7 @@ import inspect
 import pkgutil
 import sys
 
+import numpy as np
 import pytest
 
 import bb84sim
@@ -56,10 +57,21 @@ def test_check_increasing_names_the_values(values, message):
         check_increasing("xs", values)
 
 
-@pytest.mark.parametrize("k,n", [(0, 0), (1, 0), (-1, 10), (11, 10)])
+@pytest.mark.parametrize("k,n", [
+    (0, 0), (1, 0), (-1, 10), (11, 10),
+    # counts are integers: an integral float is refused too
+    (2.5, 10), (0, 10.0), (1, 10.5), (3.0, 10), (np.float64(3), 10), (3, np.float64(10)),
+])
 def test_qber_estimate_validation(k, n):
     with pytest.raises(ValueError):
         QberEstimate(k, n)
+
+
+@pytest.mark.parametrize("n", [10.5, 10.0, np.float64(10)], ids=["10.5", "10.0", "numpy-10.0"])
+def test_hoeffding_half_width_needs_an_integer_count(n):
+    with pytest.raises(ValueError, match="compared_n must be an integer"):
+        hoeffding_half_width(n, 0.95)
+    assert hoeffding_half_width(np.int64(10), 0.95) == hoeffding_half_width(10, 0.95)
 
 
 # 2**1024 - 2**970 lies halfway between the largest float and 2**1024, so

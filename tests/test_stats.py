@@ -1,6 +1,8 @@
 import copy
+import hashlib
 import math
 import pickle
+import random
 from collections import Counter
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bb84sim import stats
 from bb84sim.core import BISECT_TOL, CIMethod, ConfidenceInterval, QberEstimate, bisect_root
+from bb84sim.decision import DecisionPolicy, decide, key_rate
 from bb84sim.stats import (
     aggregate_trials,
     ci_clopper_pearson,
@@ -130,6 +133,18 @@ def test_wald_degenerates_at_the_boundary():
     assert (lo.lower, lo.upper) == (0.0, 0.0)
     hi = ci_wald(QberEstimate(100, 100), 0.95)
     assert (hi.lower, hi.upper) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("method", list(CIMethod), ids=[m.value for m in CIMethod])
+def test_lower_bound_at_k_0_is_plus_zero_and_upper_at_k_n_is_one(method):
+    # == cannot tell -0.0 from 0.0, and a clamp written `x if x >= 0.0 else
+    # 0.0` would pass a -0.0 that reached it; the sign shows one
+    for n in (1, 7, 100, 50_000, 10**6):
+        for confidence in (0.5, 0.9, 0.95, 0.999):
+            lower = confidence_interval(QberEstimate(0, n), confidence, method).lower
+            assert lower == 0.0 and math.copysign(1.0, lower) == 1.0, (n, confidence)
+            upper = confidence_interval(QberEstimate(n, n), confidence, method).upper
+            assert upper == 1.0, (n, confidence)
 
 
 def test_wilson_frozen_bounds():
@@ -567,6 +582,39 @@ def test_widths_grow_with_confidence():
         w95 = confidence_interval(est, 0.95, method).width
         w99 = confidence_interval(est, 0.99, method).width
         assert w90 < w95 < w99
+
+
+def _query_stream(seed: int, size: int):
+    """Seeded (k, n, confidence): n up to 10**6, k = 0 and k = n forced in,
+    and error rates up to 1, 1/2, ... 1/16. Only `random`'s integer draws
+    are used, which give the same stream on every supported Python."""
+    rng = random.Random(seed)
+    for i in range(size):
+        n = rng.randint(1, 10 ** rng.randint(1, 6))
+        k = 0 if i % 50 == 0 else n if i % 50 == 25 else rng.randint(0, n >> rng.randint(0, 4))
+        yield k, n, rng.choice((0.9, 0.95, 0.99, 0.999))
+
+
+def test_pure_python_intervals_decisions_and_rates_keep_their_bits():
+    # Wald, Wilson and Hoeffding are pinned above only to 1e-12, so a change
+    # in the last bit would pass them; this digest of every bound, verdict
+    # and rate over a seeded stream would not. Clopper-Pearson rests on
+    # scipy's kernels, whose bits may differ between versions, and is pinned
+    # to its ufunc quantiles instead. The levels are those whose quantile
+    # bits test_normal_quantile_bits_are_frozen pins.
+    methods = (CIMethod.WALD, CIMethod.WILSON, CIMethod.HOEFFDING)
+    digest = hashlib.sha256()
+    for k, n, confidence in _query_stream(2026, 10_000):
+        est = QberEstimate(k, n)
+        intervals = [confidence_interval(est, confidence, m) for m in methods]
+        verdicts = [decide(est, iv, policy) for iv in intervals for policy in DecisionPolicy]
+        floats = [x for iv in intervals for x in (iv.lower, iv.upper)]
+        floats += [x for v in verdicts for x in (v.qber_used, v.threshold)]
+        floats.append(key_rate(est.point_estimate).rate)
+        line = " ".join([*(x.hex() for x in floats), *(v.decision.value for v in verdicts)])
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "7cabaf00bb9f12eb6c828a2314823492b7a2a0013f66678202f50dc292b45658")
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, 1.2])
