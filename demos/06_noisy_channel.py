@@ -26,7 +26,7 @@ def main() -> None:
     for p in (0.0, 0.05, 0.10, 0.15, 0.20, 0.22, 0.25, 0.30):
         result = run_session(SessionConfig(
             50_000, EveStrategy.absent(), ChannelModel.depolarizing(p), seed=42
-        ))
+        ), ledger=False)
         est = result.estimate
         ci = confidence_interval(est, 0.95, CIMethod.CLOPPER_PEARSON)
         verdict = decide(est, ci, DecisionPolicy.UPPER_BOUND)

@@ -54,23 +54,14 @@ def check_confidence(confidence: float) -> None:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
 
 
-def check_compared_n(compared_n: int) -> None:
-    """Raise ValueError unless compared_n is an integer (a numpy one too), at
-    least one bit was compared, and no more than a float can hold: every
-    interval takes the count as a float."""
-    try:
-        operator.index(compared_n)
-    except TypeError:
-        raise ValueError(f"compared_n must be an integer, got {compared_n!r}") from None
-    if compared_n < 1:
-        raise ValueError(f"compared_n must be positive, got {compared_n}")
-    try:
-        float(compared_n)
-    except OverflowError:
-        raise ValueError("compared_n must fit a float, about 1.8e308 at most") from None
+# The least integer float() refuses: it lies halfway between the largest
+# float and 2**1024, so float() rounds it up and overflows.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
-# The half-width of the bracket that checks a Clopper-Pearson bound (see stats).
+# The half-width of the bracket that checks a Clopper-Pearson bound (see
+# stats). A bound within it of 0 or 1 has a bracket that leaves [0, 1], where
+# the tail is NaN, so that bound is bisected to adjacent floats.
 BISECT_TOL = 1e-9
 
 
@@ -171,23 +162,35 @@ class Value(metaclass=_ValueType):
 
 class QberEstimate(Value):
     """Error count over a compared sample: k mismatches out of n comparisons.
-    Both counts are integers, Python's or numpy's; a float is refused, even
-    an integral one."""
+
+    Both counts are integers, Python's or numpy's, and are kept as the
+    Python ints `operator.index` gives, so every interval's bounds are
+    floats; a float is refused, even an integral one. At least one bit was
+    compared, and no more than a float can hold: every interval takes the
+    count as a float. This is the one place that checks a count.
+    """
 
     errors_k: int
     compared_n: int
 
     def __post_init__(self) -> None:
-        check_compared_n(self.compared_n)
+        k, n = self.errors_k, self.compared_n
         try:
-            operator.index(self.errors_k)
+            index_n = operator.index(n)
         except TypeError:
-            raise ValueError(f"errors_k must be an integer, got {self.errors_k!r}") from None
-        if not 0 <= self.errors_k <= self.compared_n:
-            raise ValueError(
-                f"errors_k must be in [0, compared_n], got k={self.errors_k}, "
-                f"n={self.compared_n}"
-            )
+            raise ValueError(f"compared_n must be an integer, got {n!r}") from None
+        if not 1 <= index_n < _FLOAT_OVERFLOW:
+            raise ValueError(f"compared_n must be positive, got {n}" if index_n < 1
+                             else "compared_n must fit a float, about 1.8e308 at most")
+        try:
+            index_k = operator.index(k)
+        except TypeError:
+            raise ValueError(f"errors_k must be an integer, got {k!r}") from None
+        if not 0 <= index_k <= index_n:
+            raise ValueError(f"errors_k must be in [0, compared_n], got k={k}, n={n}")
+        if index_k is not k or index_n is not n:  # not a Python int: keep its index
+            object.__setattr__(self, "errors_k", index_k)
+            object.__setattr__(self, "compared_n", index_n)
 
     @property
     def point_estimate(self) -> float:

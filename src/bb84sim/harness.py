@@ -126,12 +126,13 @@ def sessions_at_once(workers: int, trials: int) -> int:
 
 
 def _run_point(config: SweepConfig, f: float, index: int,
-               sessions: int = 1) -> tuple[list[TrialRow], TrialAggregate]:
+               sessions: int = 1) -> tuple[tuple[TrialRow, ...], TrialAggregate]:
     """The config's trials at fraction f, seeded from (master seed, index),
-    and their aggregate at config.confidence: every runner's one step a point."""
+    and the aggregate of their sessions' estimates at config.confidence:
+    every runner's one step a point."""
     eve = EveStrategy.intercept_resend(f)
 
-    def job(t: int) -> TrialRow:
+    def job(t: int) -> tuple[TrialRow, QberEstimate]:
         seed = derive_trial_seed(config.master_seed, index, t)
         session = SessionConfig(
             n_qubits=config.n_qubits,
@@ -151,16 +152,16 @@ def _run_point(config: SweepConfig, f: float, index: int,
             compared_n=est.compared_n,
             errors_k=est.errors_k,
             qber=est.point_estimate,
-        )
+        ), est
 
     if sessions > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=sessions) as pool:
-            rows = list(pool.map(job, range(config.trials_per_f)))
+            trials = list(pool.map(job, range(config.trials_per_f)))
     else:
-        rows = [job(t) for t in range(config.trials_per_f)]
-    estimates = [QberEstimate(r.errors_k, r.compared_n) for r in rows]
+        trials = [job(t) for t in range(config.trials_per_f)]
+    rows, estimates = zip(*trials)
     return rows, aggregate_trials(estimates, config.confidence)
 
 

@@ -160,11 +160,11 @@ class SessionResult(Value):
     estimate: QberEstimate
 
     def __post_init__(self) -> None:
-        import numpy as np
+        if self.records is not None:
+            import numpy as np
 
-        if self.records is not None and self.sifted_count != int(
-                np.count_nonzero(self.records.sifted)):
-            raise ValueError("sifted_count does not match the ledger")
+            if self.sifted_count != int(np.count_nonzero(self.records.sifted)):
+                raise ValueError("sifted_count does not match the ledger")
 
     @property
     def raw_key_bits(self) -> int:

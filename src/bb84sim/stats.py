@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 from .core import (
     BISECT_TOL, CIMethod, ConfidenceInterval, QberEstimate, Value,
-    bisect_root, check_compared_n, check_confidence, check_probability,
+    bisect_root, check_confidence, check_probability,
 )
 
 
@@ -147,28 +147,27 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
 
     lower is the p at which P[Bin(n, p) >= k] = alpha/2 (0 when k = 0) and
     upper the p at which P[Bin(n, p) <= k] = alpha/2 (1 when k = n). Both are
-    beta quantiles (Brown, Cai & DasGupta 2001): lower =
-    betaincinv(k, n - k + 1, alpha/2) and upper =
-    1 - betaincinv(n - k, k + 1, alpha/2), the form that never rounds
-    1 - alpha/2.
+    beta quantiles (Brown, Cai & DasGupta 2001): lower = betaincinv(k,
+    n - k + 1, alpha/2) and upper = 1 - betaincinv(n - k, k + 1, alpha/2),
+    the form that never rounds 1 - alpha/2.
 
     Each bound is then checked with two tail evaluations, one BISECT_TOL
     either side: the tail must cross alpha/2 between them, so the bound lies
     within 1e-9 of the root whatever scipy's quantile does. The check is one
-    bracket test, which a NaN tail fails. Both evaluations are made whatever
-    the first one finds, so a check costs two evaluations. Only a bound that
-    fails the check is found by bisection instead, to adjacent floats; its
-    predicate is built only then. The tails are `bdtrc` for the lower
-    bound and `bdtr` for the upper, both scipy's `betainc`, so the check and
-    the bisection evaluate the same function as the quantile inverts. Each
-    evaluation looks the tails up as this module's globals, so a wrapper set
-    on `stats.bdtr` or `stats.bdtrc` sees every call.
+    bracket test of both evaluations, which a NaN tail fails; `betainc` is
+    NaN outside [0, 1], so a bound within BISECT_TOL of 0 or 1 fails it.
+    Only a bound that fails the check is bisected instead, to adjacent
+    floats; its predicate is built only then. The tails are `bdtrc` for the
+    lower bound and `bdtr` for the upper, both scipy's `betainc` looked up
+    as this module's globals, so the check and the bisection evaluate the
+    function the quantile inverts, and a wrapper set on `stats.bdtr` or
+    `stats.bdtrc` sees every call. `bdtr` forms 1 - p, so an upper bound
+    bisected near 0 is no finer than the floats below 1: at k = 5,
+    n = 10^18 and 0.95 it is 2^-54, about 4.8 times its root.
 
-    A bound that passes its check is only within BISECT_TOL of its root, so
-    where both roots lie below about 1e-9 the two bounds can cross: at
-    k = 5, n = 10^18 the upper bound 1 - betaincinv rounds to 0, below
-    p-hat = 5e-18. The lower root is never above the upper, so the lower
-    bound is clamped to the upper and stays within BISECT_TOL of its root.
+    Bounds within BISECT_TOL of roots closer than that could cross, so the
+    lower is clamped to the upper. No known case needs it: a tiny bound,
+    whose quantile can round to 0, is bisected.
     """
     check_confidence(confidence)
     half_alpha = (1.0 - confidence) / 2.0
@@ -178,8 +177,8 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
     else:
         # P[X >= k] grows monotonically from 0 to 1 as p sweeps [0, 1].
         lower = betaincinv(k, n - k + 1, half_alpha)
-        below = bdtrc(k - 1, n, 0.0 if (edge := lower - BISECT_TOL) < 0.0 else edge)
-        above = bdtrc(k - 1, n, 1.0 if (edge := lower + BISECT_TOL) > 1.0 else edge)
+        below = bdtrc(k - 1, n, lower - BISECT_TOL)
+        above = bdtrc(k - 1, n, lower + BISECT_TOL)
         if not below < half_alpha <= above:
             lower = bisect_root(lambda p: bdtrc(k - 1, n, p) < half_alpha)
     if k == n:
@@ -187,8 +186,8 @@ def ci_clopper_pearson(est: QberEstimate, confidence: float) -> ConfidenceInterv
     else:
         # P[X <= k] falls monotonically from 1 to 0.
         upper = 1.0 - betaincinv(n - k, k + 1, half_alpha)
-        below = bdtr(k, n, 0.0 if (edge := upper - BISECT_TOL) < 0.0 else edge)
-        above = bdtr(k, n, 1.0 if (edge := upper + BISECT_TOL) > 1.0 else edge)
+        below = bdtr(k, n, upper - BISECT_TOL)
+        above = bdtr(k, n, upper + BISECT_TOL)
         if not above < half_alpha <= below:
             upper = bisect_root(lambda p: bdtr(k, n, p) >= half_alpha)
     return ConfidenceInterval(upper if upper < lower else lower, upper)
@@ -201,10 +200,10 @@ def _hoeffding_half_width(compared_n: int, confidence: float) -> float:
 
 
 def hoeffding_half_width(compared_n: int, confidence: float) -> float:
-    """Concentration half-width sqrt(ln(2/delta) / (2n)) with delta = 1 - confidence."""
+    """Concentration half-width sqrt(ln(2/delta) / (2n)) with delta = 1 - confidence.
+    The count is checked, and taken as a Python int, as an estimate's is."""
     check_confidence(confidence)
-    check_compared_n(compared_n)
-    return _hoeffding_half_width(compared_n, confidence)
+    return _hoeffding_half_width(QberEstimate(0, compared_n).compared_n, confidence)
 
 
 def ci_hoeffding(est: QberEstimate, confidence: float) -> ConfidenceInterval:

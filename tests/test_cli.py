@@ -581,8 +581,8 @@ def test_ci_report_large_sample(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("k, n", [("1000", "1000000000000"), ("5", "1000000000000000000")])
 def test_ci_report_at_a_huge_sample(k, n, monkeypatch, tmp_path, capsys):
-    # both exact bounds lie below BISECT_TOL here; at n = 10^18 the two found
-    # cross, and the lower is clamped to the upper
+    # both exact bounds lie below BISECT_TOL here, so both are bisected, and
+    # each prints as 0 to six decimals
     code, out, _ = run_cli(["ci", "--k", k, "--n", n], monkeypatch, tmp_path, capsys)
     assert code == 0
     assert "clopper-pearson  [0.000000, 0.000000]" in out

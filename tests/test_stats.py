@@ -147,6 +147,17 @@ def test_lower_bound_at_k_0_is_plus_zero_and_upper_at_k_n_is_one(method):
             assert upper == 1.0, (n, confidence)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+@pytest.mark.parametrize("method", list(CIMethod), ids=[m.value for m in CIMethod])
+def test_numpy_counts_give_the_float_bounds_of_python_ints(method, dtype):
+    # numpy.float64 subclasses float, so only `type(...) is float` tells
+    # that an estimate keeps numpy counts as Python ints and k/n is a float
+    for k, n in ((0, 40), (3, 100), (40, 40), (6238, 25000)):
+        ci = confidence_interval(QberEstimate(dtype(k), dtype(n)), 0.95, method)
+        assert ci == confidence_interval(QberEstimate(k, n), 0.95, method), (k, n)
+        assert type(ci.lower) is float and type(ci.upper) is float, (k, n)
+
+
 def test_wilson_frozen_bounds():
     upper_only = ci_wilson(QberEstimate(0, 100), 0.95)
     assert upper_only.lower == pytest.approx(0.0, abs=1e-15)
@@ -283,6 +294,19 @@ def test_clopper_pearson_reads_the_tails_through_the_module(monkeypatch):
     assert calls == {"bdtr": 2, "bdtrc": 2}
 
 
+def test_a_bracket_off_the_unit_interval_fails_its_check(monkeypatch):
+    """The check tests each bracket as it is, not clamped into [0, 1], so a
+    bound within BISECT_TOL of 0 or 1 must fail it: that rests on betainc
+    being NaN off [0, 1]. At n = 10^18 the upper quantile rounds to 0, so
+    its bracket starts at -1e-9 and it is bisected past the check's four
+    evaluations; a clamped bracket would pass it at 0."""
+    for x in (-1e-9, 1.0 + 1e-9):
+        assert math.isnan(stats.betainc(5, 3, x)), x
+    calls = _count_tails(monkeypatch)
+    ci_clopper_pearson(QberEstimate(5, 10**18), 0.95)
+    assert sum(calls.values()) > 4
+
+
 @pytest.mark.parametrize("k, n, confidence", [
     (3, 100, 0.95), (0, 10, 0.999), (10, 10, 0.9), (250_000, 1_000_000, 0.99),
     # the missed upper quantile is below 0, where the right-hand tail is NaN
@@ -362,15 +386,32 @@ def test_clopper_pearson_bounds_lie_within_the_tolerance_of_their_roots(
     (1000, 10**12), (999, 10**14), (5, 10**18), (1, 10**19),
 ])
 def test_clopper_pearson_bounds_never_cross_at_huge_n(k, n):
-    """A bound that passes its check is only within BISECT_TOL of its root,
-    so where both roots lie below BISECT_TOL the bounds can cross: at
-    n = 10^18, 1 - betaincinv rounds the upper bound to 0. Too large for the
-    roots test, whose bisection case puts the upper bound below 0 here."""
+    """Where both roots lie below BISECT_TOL, each bound's bracket leaves
+    [0, 1], so both are bisected, not passed anywhere within BISECT_TOL of
+    their roots: at n = 10^18, 1 - betaincinv rounds the upper quantile to 0.
+    Too large for the roots test, whose bisection case puts the upper bound
+    below 0 here."""
     ci = ci_clopper_pearson(QberEstimate(k, n), 0.95)
     assert 0.0 <= ci.lower <= ci.upper <= 1.0
     if n <= 10**14:  # past it the oracle sums a million terms or more
         assert _brackets(lambda p: _binom_tails(k, n, p)[0], ci.lower, 0.025)
         assert _brackets(lambda p: _binom_tails(k, n, p)[1], ci.upper, 0.025)
+
+
+@pytest.mark.parametrize("confidence", CP_GRID_CONFIDENCES)
+@pytest.mark.parametrize("k, n", [(5, 10**18), (1, 10**19), (0, 10**18)])
+def test_clopper_pearson_tiny_bounds_contain_k_over_n(k, n, confidence):
+    """Each bound here lies within BISECT_TOL of 0 and is bisected. The lower
+    lands on its Poisson-limit root, a gamma quantile over n. The upper is
+    found through `bdtr`'s 1 - p, so it is no finer than the floats below 1,
+    but it lies above its Poisson-limit root."""
+    half_alpha = (1.0 - confidence) / 2.0
+    ci = ci_clopper_pearson(QberEstimate(k, n), confidence)
+    assert ci.lower <= k / n <= ci.upper
+    if k > 0:
+        root = scipy.stats.gamma.ppf(half_alpha, k) / n
+        assert abs(ci.lower - root) <= 1e-12 * root
+    assert ci.upper >= scipy.stats.gamma.isf(half_alpha, k + 1) / n
 
 
 def test_clopper_pearson_bisects_tiny_bounds_to_the_float():
